@@ -165,7 +165,7 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _meta_line(args) -> str:
+def _meta_line() -> str:
     return f"# generated: {datetime.now(timezone.utc).isoformat()}\n"
 
 
@@ -231,7 +231,9 @@ def _cmd_estimate(args) -> int:
         raise UsageError("need --p or --pc-ref")
     replicas = args.replicas or 300
     budget = args.budget or _cycles.DEFAULT_BUDGET
-    threads = args.threads or 1
+    threads = 1 if args.threads is None else args.threads
+    if threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {threads}")
     q = args.quantity
     if q == "ball-boundary":
         if not args.n_list:
@@ -281,7 +283,7 @@ def _cmd_estimate(args) -> int:
     if fmt == "csv":
         text = report.to_csv(include_meta=not args.no_header_meta)
         if not args.no_header_meta:
-            text = _meta_line(args) + text
+            text = _meta_line() + text
     else:
         text = report.to_jsonl()
     _emit(text, args.out)

@@ -75,7 +75,7 @@ class ComponentMap:
         g = cfg.geometry
         mask = cfg.open_mask()
         open_ids = np.flatnonzero(mask)
-        uv = g.edge_array()[open_ids]
+        uv = g.endpoints(open_ids)
         V = g.num_vertices
         if len(open_ids):
             m = sparse.csr_matrix(

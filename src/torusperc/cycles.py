@@ -173,8 +173,7 @@ class OpenSubgraph:
         self.geometry = geometry
         self.edge_ids = sorted(int(e) for e in edge_ids)
         adj: dict[int, list[tuple[int, int]]] = {}
-        for e in self.edge_ids:
-            u, v = geometry.edge_endpoints(e)
+        for e, (u, v) in zip(self.edge_ids, geometry.endpoints(self.edge_ids).tolist()):
             adj.setdefault(u, []).append((e, v))
             adj.setdefault(v, []).append((e, u))
         self.adj = adj

@@ -2,6 +2,9 @@
 
 Every estimator samples replicas with seeds derived from (master seed, stream,
 size index, replica index), so reports are identical for any worker count.
+With threads > 1, one estimator call runs all its (size, replica) tasks
+through a single process pool, started without warm-up, and splits the
+results back per size.
 Replicas whose cycle searches return Unknown are discarded and counted; the
 discard column makes the induced bias visible instead of hiding it.
 
@@ -159,13 +162,22 @@ def _resolve_p(p, d, model, L):
     return row.p_c, row.source
 
 
-def _map_replicas(worker, common: tuple, replicas: int, threads: int) -> list:
-    args = [(i,) + common for i in range(replicas)]
-    if threads <= 1:
-        return [worker(a) for a in args]
-    chunk = max(1, replicas // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(worker, args, chunksize=chunk))
+def _map_replicas(worker, commons: list[tuple], replicas: int, threads: int) -> list[list]:
+    """worker((i,) + common) for every common tuple and replica i < replicas.
+
+    All tasks of one estimator call share one process pool; the results come
+    back as one list per common tuple, in replica order.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    args = [(i,) + common for common in commons for i in range(replicas)]
+    if threads == 1:
+        flat = [worker(a) for a in args]
+    else:
+        chunk = max(1, len(args) // (threads * 4))
+        with ProcessPoolExecutor(max_workers=threads) as ex:
+            flat = list(ex.map(worker, args, chunksize=chunk))
+    return [flat[k * replicas:(k + 1) * replicas] for k in range(len(commons))]
 
 
 def _base_meta(quantity, d, model, L, p, p_source, replicas, seed, budget) -> dict:
@@ -212,9 +224,10 @@ def est_vertex_long_cycle(d, r_values, *, model=NEAREST_NEIGHBOR, L=1, p=None,
     report = EstimateReport(meta=_base_meta("vertex-long-cycle", d, model, L,
                                             p_val, p_source, replicas, seed, budget))
     count_points, prob_points = [], []
-    for r in r_values:
-        results = _map_replicas(_vlc_worker, (d, r, model, L, p_val, seed, budget),
-                                replicas, threads)
+    per_size = _map_replicas(_vlc_worker,
+                             [(d, r, model, L, p_val, seed, budget) for r in r_values],
+                             replicas, threads)
+    for r, results in zip(r_values, per_size):
         counts = [c for ok, c in results if ok]
         discarded = replicas - len(counts)
         V = get_torus(d, r, model, L).num_vertices
@@ -288,10 +301,10 @@ def est_cycle_cut(d, r_values, delta_values=(0.5, 1.0, 2.0), *,
     p_val, p_source = _resolve_p(p, d, model, L)
     report = EstimateReport(meta=_base_meta("cycle-cut", d, model, L, p_val,
                                             p_source, replicas, seed, budget))
-    for r in r_values:
-        results = _map_replicas(_cut_worker,
-                                (d, r, model, L, p_val, seed, budget, tuple(deltas)),
-                                replicas, threads)
+    per_size = _map_replicas(_cut_worker,
+                             [(d, r, model, L, p_val, seed, budget, tuple(deltas))
+                              for r in r_values], replicas, threads)
+    for r, results in zip(r_values, per_size):
         clean = [sums for ok, sums in results if ok]
         discarded = replicas - len(clean)
         for j, delta in enumerate(deltas):
@@ -333,9 +346,10 @@ def est_mean_cluster_size(d, r_values, *, model=NEAREST_NEIGHBOR, L=1, p=None,
     report = EstimateReport(meta=_base_meta("cluster-size", d, model, L, p_val,
                                             p_source, replicas, seed, None))
     points = []
-    for r in r_values:
-        sizes = _map_replicas(_size_worker, (d, r, model, L, p_val, seed),
-                              replicas, threads)
+    per_size = _map_replicas(_size_worker,
+                             [(d, r, model, L, p_val, seed) for r in r_values],
+                             replicas, threads)
+    for r, sizes in zip(r_values, per_size):
         V = get_torus(d, r, model, L).num_vertices
         mean, stderr = _mean_stderr(sizes)
         scale = V ** (-1.0 / 3.0)
@@ -386,9 +400,9 @@ def est_cycle_length_profile(d, r, k_values, *, model=NEAREST_NEIGHBOR, L=1,
     p_val, p_source = _resolve_p(p, d, model, L)
     report = EstimateReport(meta=_base_meta("cycle-length", d, model, L, p_val,
                                             p_source, replicas, seed, budget))
-    results = _map_replicas(_lck_worker,
-                            (d, r, model, L, p_val, seed, budget, k_values[-1],
-                             origins), replicas, threads)
+    results, = _map_replicas(_lck_worker,
+                             [(d, r, model, L, p_val, seed, budget, k_values[-1],
+                               origins)], replicas, threads)
     lengths = list(itertools.chain.from_iterable(
         vals for ok, vals in results if ok))
     discarded = replicas - sum(1 for ok, _ in results if ok)
@@ -462,8 +476,8 @@ def est_long_cycle_tail(d, r, eps_values, *, model=NEAREST_NEIGHBOR, L=1, p=None
     p_val, p_source = _resolve_p(p, d, model, L)
     report = EstimateReport(meta=_base_meta("long-cycle-tail", d, model, L, p_val,
                                             p_source, replicas, seed, budget))
-    results = _map_replicas(_tail_worker, (d, r, model, L, p_val, seed, budget),
-                            replicas, threads)
+    results, = _map_replicas(_tail_worker, [(d, r, model, L, p_val, seed, budget)],
+                             replicas, threads)
     clean = [(c, w) for ok, c, w in results if ok]
     discarded = replicas - len(clean)
     V = get_torus(d, r, model, L).num_vertices
@@ -570,8 +584,9 @@ def est_ball_boundary_sum(d, n_values, *, p=None, model=NEAREST_NEIGHBOR, L=1,
     report = EstimateReport(meta=_base_meta("ball-boundary", d, model, L, p_val,
                                             p_source, replicas, seed, None))
     report.meta["note"] = "column r holds the box radius n"
-    for n in n_values:
-        counts = _map_replicas(_ball_worker, (d, n, p_val, seed), replicas, threads)
+    per_size = _map_replicas(_ball_worker, [(d, n, p_val, seed) for n in n_values],
+                             replicas, threads)
+    for n, counts in zip(n_values, per_size):
         mean, stderr = _mean_stderr(counts)
         report.rows.append(Row("ball-boundary", d, n, _row_L(model, L), p_val,
                                replicas, 0, mean, stderr))
@@ -614,9 +629,9 @@ def est_two_point(d, r, *, model=NEAREST_NEIGHBOR, L=1, p=None, replicas=300,
     p_val, p_source = _resolve_p(p, d, model, L)
     report = EstimateReport(meta=_base_meta("two-point", d, model, L, p_val,
                                             p_source, replicas, seed, None))
-    results = _map_replicas(_twopt_worker,
-                            (d, r, model, L, p_val, seed, tuple(offsets)),
-                            replicas, threads)
+    results, = _map_replicas(_twopt_worker,
+                             [(d, r, model, L, p_val, seed, tuple(offsets))],
+                             replicas, threads)
     V = get_torus(d, r, model, L).num_vertices
     scale = V ** (2.0 / 3.0)
     for j, m in enumerate(offsets):

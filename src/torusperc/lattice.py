@@ -6,7 +6,8 @@ An edge is identified by (base vertex, canonical offset): every unordered edge
 {u, v} is stored exactly once, with the base chosen so that the displacement
 from base to the other endpoint is lexicographically positive.  The resulting
 integer EdgeId order is the fixed, platform-independent edge enumeration that
-the exploration algorithms rely on.
+the exploration algorithms rely on.  On the torus, EdgeId = base * K + rank
+yields both endpoints by mixed-radix arithmetic; no endpoint table is stored.
 """
 from __future__ import annotations
 
@@ -75,8 +76,9 @@ def canonical_rep(point, r: int) -> tuple[int, ...]:
 class TorusGeometry:
     """d-dimensional torus of side r with nearest-neighbor or spread-out edges.
 
-    Immutable after construction; safe to share across threads.  Neighbor and
-    incidence tables are materialized lazily and cached.
+    Immutable after construction; safe to share across threads.  Edge
+    endpoints are computed arithmetically from the EdgeId; only the incidence
+    tables are materialized lazily and cached.
     """
 
     def __init__(self, d: int, r: int, model: str = NEAREST_NEIGHBOR, L: int = 1):
@@ -109,10 +111,10 @@ class TorusGeometry:
         self.degree = 2 * self.num_offsets
         self._lo = -(self.r // 2)
         self._radix = self.r ** np.arange(self.d, dtype=np.int64)
+        self._steps = [self.r ** j for j in range(self.d)]     # _radix as Python ints
         self._offset_rank = {tuple(int(c) for c in o): j
                              for j, o in enumerate(self.offsets)}
         self.origin = int(((0 - self._lo) * self._radix).sum())   # id of (0,...,0)
-        self._neighbor_matrix = None
         self._edge_array = None
         self._incident_eids = None
         self._incident_others = None
@@ -143,18 +145,36 @@ class TorusGeometry:
 
     # -- edge indexing -----------------------------------------------------
 
+    def endpoints(self, eids) -> np.ndarray:
+        """Endpoint ids of EdgeIds, shape eids.shape + (2,): (base, other).
+
+        With e = base * K + rank, a nearest-neighbor edge steps digit `rank`
+        of base up by one, wrapping from r-1 to 0; a spread-out edge adds
+        offsets[rank] to the coordinates of base.
+        """
+        base, rank = np.divmod(np.asarray(eids, dtype=np.int64), self.num_offsets)
+        if self.model == NEAREST_NEIGHBOR:
+            step = self._radix[rank]
+            wraps = (base // step) % self.r == self.r - 1
+            other = base + step - wraps * (self.r * step)
+        else:
+            other = self.vertex_index(self.vertex_coords(base) + self.offsets[rank])
+        return np.stack([base, other], axis=-1)
+
     def edge_endpoints(self, e) -> tuple[int, int]:
-        ea = self.edge_array()
-        row = ea[int(e)]
-        return int(row[0]), int(row[1])
+        """Endpoints of one edge as Python ints; the scalar form of `endpoints`."""
+        base, rank = divmod(int(e), self.num_offsets)
+        if self.model != NEAREST_NEIGHBOR:
+            return base, int(self.endpoints(e)[1])
+        step = self._steps[rank]
+        if base // step % self.r == self.r - 1:
+            return base, base - (self.r - 1) * step
+        return base, base + step
 
     def edge_array(self) -> np.ndarray:
         """(num_edges, 2) array of endpoint ids; row index is the EdgeId."""
         if self._edge_array is None:
-            nbrs = self.neighbor_matrix()
-            bases = np.repeat(np.arange(self.num_vertices, dtype=np.int64),
-                              self.num_offsets)
-            self._edge_array = np.column_stack([bases, nbrs.ravel()])
+            self._edge_array = self.endpoints(np.arange(self.num_edges, dtype=np.int64))
         return self._edge_array
 
     def edge_between(self, u, v) -> int | None:
@@ -168,16 +188,6 @@ class TorusGeometry:
             return int(v) * self.num_offsets + rank
         return None
 
-    def neighbor_matrix(self) -> np.ndarray:
-        """(V, num_offsets) ids of each vertex's canonical-offset neighbors."""
-        if self._neighbor_matrix is None:
-            coords = self.vertex_coords(np.arange(self.num_vertices))
-            out = np.empty((self.num_vertices, self.num_offsets), dtype=np.int64)
-            for j, off in enumerate(self.offsets):
-                out[:, j] = self.vertex_index(coords + off)
-            self._neighbor_matrix = out
-        return self._neighbor_matrix
-
     def _incident_tables(self):
         if self._incident_eids is None:
             V, K = self.num_vertices, self.num_offsets
@@ -185,7 +195,7 @@ class TorusGeometry:
             eids = np.empty((V, 2 * K), dtype=np.int64)
             others = np.empty((V, 2 * K), dtype=np.int64)
             eids[:, :K] = np.arange(V, dtype=np.int64)[:, None] * K + np.arange(K)
-            others[:, :K] = self.neighbor_matrix()
+            others[:, :K] = self.endpoints(eids[:, :K])[..., 1]
             for j, off in enumerate(self.offsets):
                 base = self.vertex_index(coords - off)
                 eids[:, K + j] = base * K + j
@@ -316,6 +326,11 @@ class BoxGeometry:
         return int(idx) if idx.ndim == 0 else idx
 
     # -- edges ---------------------------------------------------------------
+
+    def endpoints(self, eids) -> np.ndarray:
+        """Endpoint ids of EdgeIds, shape eids.shape + (2,): (base, other)."""
+        e = np.asarray(eids, dtype=np.int64)
+        return np.stack([self._edge_base[e], self._edge_other[e]], axis=-1)
 
     def edge_endpoints(self, e) -> tuple[int, int]:
         e = int(e)

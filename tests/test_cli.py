@@ -33,6 +33,17 @@ class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run_cli([], capsys)[0] == 1
 
+    def test_threads_below_one_exits_1(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr("torusperc.estimators.ProcessPoolExecutor", no_pool)
+        for threads in ("0", "-2"):
+            code, _, err = run_cli(["estimate", "cluster-size", "--d", "2",
+                                    "--r", "4", "--p", "0.45", "--replicas", "2",
+                                    "--seed", "1", "--threads", threads], capsys)
+            assert code == 1
+            assert err.startswith("ERROR[usage]:") and "--threads" in err
+
 
 class TestSubcommands:
     def test_sample_p0(self, capsys):

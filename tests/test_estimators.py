@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torusperc import estimators as est
-from torusperc.lattice import get_torus
+from torusperc.lattice import NEAREST_NEIGHBOR, get_torus
 
 
 class TestLogLogSlope:
@@ -94,6 +94,10 @@ class TestTrivialInputs:
             est.est_cycle_cut(2, [4], [0.0], p=0.5)
         with pytest.raises(ValueError):
             est.est_cycle_length_profile(2, 5, [], p=0.5)
+        for threads in (0, -1):
+            with pytest.raises(ValueError):
+                est.est_mean_cluster_size(2, [4], p=0.3, replicas=2, seed=1,
+                                          threads=threads)
 
 
 class TestLckMonotone:
@@ -153,6 +157,17 @@ class TestReports:
         assert row.replicas + row.discarded == 10
 
 
+class TestTableFree:
+    def test_d7_estimators_build_no_edge_tables(self):
+        get_torus.cache_clear()
+        kwargs = dict(replicas=2, seed=3, threads=1)
+        est.est_vertex_long_cycle(7, [4], **kwargs)
+        est.est_mean_cluster_size(7, [4], **kwargs)
+        est.est_cycle_cut(7, [4], **kwargs)
+        g = get_torus(7, 4, NEAREST_NEIGHBOR, 1)     # the estimators' cache key
+        assert g._edge_array is None and g._incident_eids is None
+
+
 class TestExhaustiveCrossChecks:
     @pytest.mark.slow
     def test_two_point_torus_row_matches_exhaustive(self):
@@ -203,10 +218,20 @@ class TestExhaustiveCrossChecks:
 
 class TestDeterminism:
     def test_thread_count_invariance(self):
-        kwargs = dict(p=0.2487, replicas=24, seed=42)
-        one = est.est_vertex_long_cycle(3, [4, 5], threads=1, **kwargs)
-        four = est.est_vertex_long_cycle(3, [4, 5], threads=4, **kwargs)
-        assert one.to_csv() == four.to_csv()
+        # every estimator, multi-size ones with all their sizes in one pool
+        calls = [
+            (est.est_vertex_long_cycle, (3, [4, 5]), dict(p=0.2487, replicas=24)),
+            (est.est_cycle_cut, (3, [4, 5], [0.5, 1.0]), dict(p=0.2487, replicas=6)),
+            (est.est_mean_cluster_size, (3, [4, 5, 6]), dict(p=0.2487, replicas=6)),
+            (est.est_ball_boundary_sum, (3, [2, 3]), dict(p=0.2487, replicas=6)),
+            (est.est_cycle_length_profile, (2, 5, [4, 6, 8]),
+             dict(p=0.45, replicas=6, origins=2)),
+            (est.est_long_cycle_tail, (2, 5, [0.5, 1.0]), dict(p=0.45, replicas=6)),
+            (est.est_two_point, (3, 4), dict(p=0.2487, replicas=6)),
+        ]
+        for fn, args, kwargs in calls:
+            csvs = [fn(*args, seed=42, threads=t, **kwargs).to_csv() for t in (1, 2, 4)]
+            assert csvs[0] == csvs[1] == csvs[2], fn.__name__
 
     def test_seed_reproducibility(self):
         a = est.est_cycle_cut(3, [4], [1.0], p=0.2487, replicas=20, seed=7)

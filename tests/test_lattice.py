@@ -7,6 +7,29 @@ from torusperc.lattice import (GeometryError, build_box, build_torus,
                                canonical_rep, r_equivalent, torus_distance)
 
 
+def reference_edge_array(g):
+    """Row e = (base, vertex_index(vertex_coords(base) + offsets[rank])), built by table."""
+    V, K = g.num_vertices, g.num_offsets
+    coords = g.vertex_coords(np.arange(V))
+    others = g.vertex_index(coords[:, None, :] + g.offsets[None, :, :])
+    return np.column_stack([np.repeat(np.arange(V), K), others.ravel()])
+
+
+@st.composite
+def geometries(draw):
+    kind = draw(st.sampled_from(["nn", "spread-out", "box"]))
+    if kind == "nn":
+        d = draw(st.integers(1, 4))
+        return build_torus(d, draw(st.integers(3, {1: 9, 2: 9, 3: 6, 4: 4}[d])))
+    if kind == "spread-out":
+        d = draw(st.integers(1, 3))
+        return build_torus(d, draw(st.integers(3, 6)), "spread-out", L=1)
+    d = draw(st.integers(1, 3))
+    center = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    return build_box(center, draw(st.integers(0, 2)), d,
+                     draw(st.sampled_from(["nn", "spread-out"])))
+
+
 class TestTorusConstruction:
     def test_small_nn_counts(self):
         g = build_torus(2, 3)
@@ -66,6 +89,28 @@ class TestTorusConstruction:
             seen[key] = e
             assert g.edge_between(u, v) == e
             assert g.edge_between(v, u) == e
+
+
+class TestEdgeEndpoints:
+    @given(geometries(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_edge_rule(self, g, data):
+        ends = g.endpoints(np.arange(g.num_edges))
+        assert ends.shape == (g.num_edges, 2)
+        assert np.array_equal(g.edge_array(), ends)
+        if hasattr(g, "edge_base_rank"):     # box: ranks are stored, ids compacted
+            base_rank = [g.edge_base_rank(e) for e in range(g.num_edges)]
+            want = [(b, g.vertex_index(g.vertex_coords(b) + g.offsets[k]))
+                    for b, k in base_rank]
+            assert ends.tolist() == [list(w) for w in want]
+        else:
+            assert np.array_equal(ends, reference_edge_array(g))
+        if g.num_edges:
+            eids = data.draw(st.lists(st.integers(0, g.num_edges - 1), max_size=20))
+            assert np.array_equal(g.endpoints(eids).reshape(-1, 2), ends[eids])
+            for e in eids:
+                assert g.edge_endpoints(e) == tuple(ends[e].tolist())
+                assert all(type(x) is int for x in g.edge_endpoints(e))
 
 
 class TestDistances:
