@@ -1,9 +1,10 @@
 """Connected components, intrinsic-metric balls, and bounded connectivity.
 
-Components are computed by breadth-first traversal over open edges so
-intrinsic distances come for free; the bulk path delegates labeling to
-scipy.sparse.csgraph.  Instrumented configs are traversed edge by edge through
-`is_open`, keeping the read log sound.
+Components are computed by breadth-first traversal (`lattice.bfs`) over open
+edges so intrinsic distances come for free; the bulk path delegates labeling to
+scipy.sparse.csgraph.  Traversals list open edges through
+`BondConfig.open_incident`, which on instrumented configs reads every incident
+status through `is_open`, keeping the read log sound.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from .lattice import bfs
 from .percolation import BondConfig
 
 
@@ -35,32 +37,14 @@ class Cluster:
 
 def component_of(cfg: BondConfig, x: int) -> Cluster:
     """Exact open cluster of x via breadth-first traversal."""
-    g = cfg.geometry
-    fast = cfg.read_log is None
-    mask = cfg.open_mask() if fast else None
-    seen = {int(x)}
-    frontier = [int(x)]
     edges = set()
-    while frontier:
-        nxt = []
-        for v in frontier:
-            eids, others = g.incident_edges(v)
-            if fast:
-                sel = mask[eids]
-                open_eids, open_others = eids[sel], others[sel]
-            else:
-                pairs = [(e, w) for e, w in zip(eids.tolist(), others.tolist())
-                         if cfg.is_open(e)]
-                open_eids = [e for e, _ in pairs]
-                open_others = [w for _, w in pairs]
-            for e, w in zip(open_eids, open_others):
-                edges.add(int(e))
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    verts = np.array(sorted(seen), dtype=np.int64)
+
+    def step(v):
+        pairs = cfg.open_incident(v)
+        edges.update(e for e, _ in pairs)
+        return pairs
+
+    verts = np.array(sorted(bfs(int(x), step)[0]), dtype=np.int64)
     return Cluster(int(verts[0]), verts, np.array(sorted(edges), dtype=np.int64))
 
 
@@ -164,29 +148,7 @@ def intrinsic_ball(cfg: BondConfig, x: int, k: int) -> IntrinsicBall:
     """Exact BFS ball of radius k around x in the open graph."""
     if k < 0:
         raise ValueError(f"radius must be >= 0, got {k!r}")
-    g = cfg.geometry
-    fast = cfg.read_log is None
-    mask = cfg.open_mask() if fast else None
-    dist = {int(x): 0}
-    frontier = [int(x)]
-    depth = 0
-    while frontier and depth < k:
-        nxt = []
-        for v in frontier:
-            eids, others = g.incident_edges(v)
-            if fast:
-                open_others = others[mask[eids]]
-            else:
-                open_others = [w for e, w in zip(eids.tolist(), others.tolist())
-                               if cfg.is_open(e)]
-            for w in open_others:
-                w = int(w)
-                if w not in dist:
-                    dist[w] = depth + 1
-                    nxt.append(w)
-        depth += 1
-        frontier = nxt
-    return IntrinsicBall(int(x), k, dist)
+    return IntrinsicBall(int(x), k, bfs(int(x), cfg.open_incident, k)[0])
 
 
 def connected_within(cfg: BondConfig, x: int, y: int, k: int) -> bool:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import NEAREST_NEIGHBOR, BoxGeometry, TorusGeometry, get_torus
+from .lattice import NEAREST_NEIGHBOR, BoxGeometry, TorusGeometry, bfs, get_torus
 from .percolation import BondConfig, derive_seed, sample_config
 
 
@@ -176,45 +176,15 @@ def _torus_edge_of(g: TorusGeometry, window: BoxGeometry, e: int, r: int) -> int
 def lattice_distances(sample: CouplingSample, kmax: int) -> dict[int, int]:
     """Intrinsic distances from the window origin over the coupled lattice config."""
     window = sample.window
-    mask = sample.lattice_open
     origin = int(window.vertex_index([0] * window.d))
-    dist = {origin: 0}
-    frontier = [origin]
-    depth = 0
-    while frontier and depth < kmax:
-        nxt = []
-        for v in frontier:
-            eids, others = window.incident_edges(v)
-            for w in others[mask[eids]]:
-                w = int(w)
-                if w not in dist:
-                    dist[w] = depth + 1
-                    nxt.append(w)
-        depth += 1
-        frontier = nxt
-    return dist
+    lattice_cfg = BondConfig.from_bits(window, sample.lattice_open)
+    return bfs(origin, lattice_cfg.open_incident, kmax)[0]
 
 
 def torus_distances(sample: CouplingSample, kmax: int) -> dict[int, int]:
     """Intrinsic distances from the torus origin over the torus config."""
     cfg = sample.torus_config
-    g = cfg.geometry
-    mask = cfg.open_mask()
-    dist = {g.origin: 0}
-    frontier = [g.origin]
-    depth = 0
-    while frontier and depth < kmax:
-        nxt = []
-        for v in frontier:
-            eids, others = g.incident_edges(v)
-            for w in others[mask[eids]]:
-                w = int(w)
-                if w not in dist:
-                    dist[w] = depth + 1
-                    nxt.append(w)
-        depth += 1
-        frontier = nxt
-    return dist
+    return bfs(cfg.geometry.origin, cfg.open_incident, kmax)[0]
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cluster as _cluster
-from .lattice import TorusGeometry
+from .lattice import TorusGeometry, bfs
 from .percolation import BondConfig
 
 DEFAULT_BUDGET = 10**6
@@ -199,20 +199,12 @@ class OpenSubgraph:
         return OpenSubgraph(self.geometry, self.edge_ids + [int(e)])
 
     def component_count(self) -> int:
-        seen = set()
+        seen: set[int] = set()
         n = 0
         for s in self.vertices:
-            if s in seen:
-                continue
-            n += 1
-            stack = [s]
-            seen.add(s)
-            while stack:
-                v = stack.pop()
-                for _, w in self.adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+            if s not in seen:
+                n += 1
+                seen.update(bfs(s, self.adj.__getitem__)[0])
         return n
 
     def cycle_space_dim(self) -> int:
@@ -224,23 +216,16 @@ class OpenSubgraph:
         a, b = int(a), int(b)
         if a == b:
             return [a]
-        prev = {a: None}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for e, w in self.adj.get(v, ()):
-                    if e in forbidden or w in prev:
-                        continue
-                    prev[w] = v
-                    if w == b:
-                        path = [b]
-                        while path[-1] != a:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append(w)
-            frontier = nxt
-        return None
+        if a not in self.adj:
+            return None
+        step = self.adj.__getitem__
+        if forbidden:
+            def step(v):
+                return [(e, w) for e, w in self.adj[v] if e not in forbidden]
+        _, parent = bfs(a, step, target=b)
+        if b not in parent:
+            return None
+        return _root_path(parent, b)
 
 
 def _bridges(sub: OpenSubgraph) -> set[int]:
@@ -293,26 +278,23 @@ def _cycle_vertices_exact(sub: OpenSubgraph) -> set[int]:
 def _lift_forest(sub: OpenSubgraph, budget: WorkBudget):
     """BFS spanning forest with lift offsets relative to each component root."""
     g = sub.geometry
+
+    def step(v):
+        for pair in sub.adj[v]:
+            budget.charge()
+            yield pair
+
     pos: dict[int, np.ndarray] = {}
     parent: dict[int, tuple[int | None, int | None]] = {}
-    tree_edges: set[int] = set()
     for s in sub.vertices:
         if s in pos:
             continue
-        pos[s] = np.zeros(g.d, dtype=np.int64)
-        parent[s] = (None, None)
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for e, w in sub.adj[v]:
-                    budget.charge()
-                    if w not in pos:
-                        pos[w] = pos[v] + g.displacement(v, w)
-                        parent[w] = (v, e)
-                        tree_edges.add(e)
-                        nxt.append(w)
-            frontier = nxt
+        _, tree = bfs(s, step)
+        for w, (v, _) in tree.items():
+            pos[w] = (np.zeros(g.d, dtype=np.int64) if v is None
+                      else pos[v] + g.displacement(v, w))
+        parent.update(tree)
+    tree_edges = {e for _, e in parent.values() if e is not None}
     return pos, parent, tree_edges
 
 
@@ -420,6 +402,23 @@ def _closed_walk_search(sub: OpenSubgraph, x: int, budget: WorkBudget,
     return False
 
 
+def _first_long_walk(sub: OpenSubgraph, x: int, budget: WorkBudget,
+                     **prune) -> CycleWitness | None:
+    """The first long closed walk the search from x meets, or None."""
+    g = sub.geometry
+    t = long_cycle_threshold(g)
+    found: list[CycleWitness] = []
+
+    def grab(verts) -> bool:
+        if cycle_radius(g, verts) >= t:
+            found.append(CycleWitness.from_vertices(g, verts))
+            return True
+        return False
+
+    _closed_walk_search(sub, x, budget, grab, **prune)
+    return found[0] if found else None
+
+
 def _feasible_vertices(sub: OpenSubgraph, t: int, budget: WorkBudget) -> set[int]:
     """Vertices that see some subgraph vertex at sup-distance >= t.
 
@@ -439,22 +438,6 @@ def _feasible_vertices(sub: OpenSubgraph, t: int, budget: WorkBudget) -> set[int
         if int(delta.max(axis=1).max()) >= t:
             out.add(int(v))
     return out
-
-
-def _distances_within(sub: OpenSubgraph, x: int) -> dict[int, int]:
-    dist = {int(x): 0}
-    frontier = [int(x)]
-    d = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for _, w in sub.adj.get(v, ()):
-                if w not in dist:
-                    dist[w] = d + 1
-                    nxt.append(w)
-        d += 1
-        frontier = nxt
-    return dist
 
 
 def _shortest_cycle_through(sub: OpenSubgraph, x: int,
@@ -491,17 +474,10 @@ def _subgraph_contains_long_cycle(sub: OpenSubgraph, budget: WorkBudget) -> Budg
     wrap = _wrap_cycle_witness(sub, budget)
     if wrap is not None and wrap.long:
         return BudgetedAnswer(YES, witness=wrap, work=budget.spent, budget=budget.limit)
-    found: list[CycleWitness] = []
-
-    def grab(verts) -> bool:
-        if cycle_radius(g, verts) >= t:
-            found.append(CycleWitness.from_vertices(g, verts))
-            return True
-        return False
-
     for s in sorted(feasible):
-        if _closed_walk_search(sub, s, budget, grab, min_vertex=s, feasible=feasible):
-            return BudgetedAnswer(YES, witness=found[0],
+        found = _first_long_walk(sub, s, budget, min_vertex=s, feasible=feasible)
+        if found is not None:
+            return BudgetedAnswer(YES, witness=found,
                                   work=budget.spent, budget=budget.limit)
     return BudgetedAnswer(NO, work=budget.spent, budget=budget.limit)
 
@@ -534,7 +510,7 @@ def _min_long_cycle_through(sub: OpenSubgraph, x: int, budget: WorkBudget,
     feasible = _feasible_vertices(sub, t, budget)
     if x not in feasible:
         return None
-    dist = _distances_within(sub, x)
+    dist, _ = bfs(x, sub.adj.__getitem__)
     cap = [length_cap]
     best: list[CycleWitness | None] = [None]
 
@@ -555,10 +531,6 @@ def _min_long_cycle_through(sub: OpenSubgraph, x: int, budget: WorkBudget,
 # public operations on configs
 
 
-def _cluster_subgraph(cfg: BondConfig, cl: "_cluster.Cluster") -> OpenSubgraph:
-    return OpenSubgraph.from_cluster(cfg, cl)
-
-
 def vertex_in_long_cycle(cfg: BondConfig, x: int,
                          budget: int = DEFAULT_BUDGET) -> BudgetedAnswer:
     """Is x on an open long cycle?  Tri-state with witness and certificates."""
@@ -570,7 +542,7 @@ def vertex_in_long_cycle(cfg: BondConfig, x: int,
         b.charge(max(1, len(cl.edges)))
         if cl.surplus == 0:
             return BudgetedAnswer(NO, work=b.spent, budget=budget)
-        sub = _cluster_subgraph(cfg, cl)
+        sub = OpenSubgraph.from_cluster(cfg, cl)
         if _all_cycles_long(g):
             b.charge(len(cl.edges))
             if int(x) in _cycle_vertices_exact(sub):
@@ -584,17 +556,10 @@ def vertex_in_long_cycle(cfg: BondConfig, x: int,
         wrap = _wrap_cycle_witness(sub, b)
         if wrap is not None and wrap.long and int(x) in wrap.vertices:
             return BudgetedAnswer(YES, witness=wrap, work=b.spent, budget=budget)
-        found: list[CycleWitness] = []
-
-        def grab(verts) -> bool:
-            if cycle_radius(g, verts) >= t:
-                found.append(CycleWitness.from_vertices(g, verts))
-                return True
-            return False
-
-        if _closed_walk_search(sub, x, b, grab, feasible=feasible):
-            found[0].validate(g, cfg)
-            return BudgetedAnswer(YES, witness=found[0], work=b.spent, budget=budget)
+        found = _first_long_walk(sub, x, b, feasible=feasible)
+        if found is not None:
+            found.validate(g, cfg)
+            return BudgetedAnswer(YES, witness=found, work=b.spent, budget=budget)
         return BudgetedAnswer(NO, work=b.spent, budget=budget)
     except BudgetExhausted:
         return BudgetedAnswer(UNKNOWN, work=b.spent, budget=budget)
@@ -605,7 +570,7 @@ def cluster_contains_long_cycle(cfg: BondConfig, cl: "_cluster.Cluster",
     """Does the cluster contain any open long cycle?"""
     b = WorkBudget(budget)
     try:
-        sub = _cluster_subgraph(cfg, cl)
+        sub = OpenSubgraph.from_cluster(cfg, cl)
         return _subgraph_contains_long_cycle(sub, b)
     except BudgetExhausted:
         return BudgetedAnswer(UNKNOWN, work=b.spent, budget=budget)
@@ -631,7 +596,7 @@ def long_cycle_vertex_count(cfg: BondConfig,
     for cl in clusters:
         b = WorkBudget(budget)
         try:
-            sub = _cluster_subgraph(cfg, cl)
+            sub = OpenSubgraph.from_cluster(cfg, cl)
             if _all_cycles_long(g):
                 b.charge(max(1, len(cl.edges)))
                 count += len(_cycle_vertices_exact(sub))
@@ -639,7 +604,7 @@ def long_cycle_vertex_count(cfg: BondConfig,
             feasible = _feasible_vertices(sub, t, b)
             if not feasible:
                 continue
-            count += len(_long_cycle_vertices_general(sub, feasible, t, b))
+            count += len(_long_cycle_vertices_general(sub, feasible, b))
         except BudgetExhausted:
             any_unknown = True
     return count, any_unknown
@@ -656,9 +621,8 @@ def _instrumented_components(cfg: BondConfig):
         yield cl
 
 
-def _long_cycle_vertices_general(sub: OpenSubgraph, feasible: set[int], t: int,
+def _long_cycle_vertices_general(sub: OpenSubgraph, feasible: set[int],
                                  b: WorkBudget) -> set[int]:
-    g = sub.geometry
     yes: set[int] = set()
     wrap = _wrap_cycle_witness(sub, b)
     if wrap is not None and wrap.long:
@@ -666,16 +630,9 @@ def _long_cycle_vertices_general(sub: OpenSubgraph, feasible: set[int], t: int,
     for x in sorted(feasible):
         if x in yes:
             continue
-        found: list[CycleWitness] = []
-
-        def grab(verts, _found=found) -> bool:
-            if cycle_radius(g, verts) >= t:
-                _found.append(CycleWitness.from_vertices(g, verts))
-                return True
-            return False
-
-        if _closed_walk_search(sub, x, b, grab, feasible=feasible):
-            yes.update(found[0].vertices)
+        found = _first_long_walk(sub, x, b, feasible=feasible)
+        if found is not None:
+            yes.update(found.vertices)
     return yes
 
 
@@ -694,7 +651,7 @@ def shortest_long_cycle_through(cfg: BondConfig, x: int, k: int,
         b.charge(max(1, len(cl.edges)))
         if cl.surplus == 0:
             return BudgetedAnswer(NO, work=b.spent, budget=budget)
-        sub = _cluster_subgraph(cfg, cl)
+        sub = OpenSubgraph.from_cluster(cfg, cl)
         witness = _min_long_cycle_through(sub, x, b, length_cap=int(k))
         if witness is None:
             return BudgetedAnswer(NO, work=b.spent, budget=budget)
@@ -715,7 +672,7 @@ def min_long_cycle_cut(cfg: BondConfig, cl: "_cluster.Cluster",
     """
     g = cfg.geometry
     b = WorkBudget(budget)
-    sub = _cluster_subgraph(cfg, cl)
+    sub = OpenSubgraph.from_cluster(cfg, cl)
     s = sub.cycle_space_dim()
     ub = s if special_edge_count is None else min(s, special_edge_count)
     try:
@@ -764,7 +721,7 @@ def long_cycle_interior(cfg: BondConfig, root: int,
         b.charge(max(1, len(cl.edges)))
         if cl.surplus == 0:
             return set(), True
-        sub = _cluster_subgraph(cfg, cl)
+        sub = OpenSubgraph.from_cluster(cfg, cl)
         feasible = (set(sub.vertices) if _all_cycles_long(g)
                     else _feasible_vertices(sub, t, b))
         for z in [int(v) for v in cl.vertices]:

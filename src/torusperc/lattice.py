@@ -219,10 +219,42 @@ def build_torus(d: int, r: int, model: str = NEAREST_NEIGHBOR, L: int = 1) -> To
     return TorusGeometry(d, r, model, L)
 
 
-@lru_cache(maxsize=32)
+_torus_cache = lru_cache(maxsize=32, typed=True)(TorusGeometry)
+
+
 def get_torus(d: int, r: int, model: str = NEAREST_NEIGHBOR, L: int = 1) -> TorusGeometry:
-    """Cached torus construction for replica workers."""
-    return build_torus(d, r, model, L)
+    """Cached torus construction; every call form of one torus shares an entry."""
+    return _torus_cache(d, r, model, L if model == SPREAD_OUT else 1)
+
+
+get_torus.cache_clear = _torus_cache.cache_clear
+get_torus.cache_info = _torus_cache.cache_info
+
+
+def bfs(start, step, kmax=None, target=None):
+    """Breadth-first search from start; returns (dist, parent) in discovery order.
+
+    step(v) yields v's (edge, neighbour) pairs in a fixed order; parent[w] is
+    (v, edge) and parent[start] is (None, None).  Vertices at depth kmax are
+    not expanded, and the search returns as soon as target is discovered.
+    """
+    dist = {start: 0}
+    parent = {start: (None, None)}
+    frontier = [start]
+    depth = 0
+    while frontier and start != target and (kmax is None or depth < kmax):
+        depth += 1
+        nxt = []
+        for v in frontier:
+            for e, w in step(v):
+                if w not in dist:
+                    dist[w] = depth
+                    parent[w] = (v, e)
+                    if w == target:
+                        return dist, parent
+                    nxt.append(w)
+        frontier = nxt
+    return dist, parent
 
 
 def torus_distance(g: TorusGeometry, x, y, norm: str = "sup"):

@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .lattice import NEAREST_NEIGHBOR
+from .lattice import NEAREST_NEIGHBOR, bfs
 
 
 class InstrumentationError(RuntimeError):
@@ -80,6 +80,19 @@ class BondConfig:
         if self.read_log is not None:
             self.read_log.add(e)
         return bool((self._packed[e >> 3] >> (e & 7)) & 1)
+
+    def open_incident(self, v) -> list[tuple[int, int]]:
+        """Open (edge, neighbour) pairs at v in ascending edge order.
+
+        Instrumented configs read every incident status through `is_open`, so
+        a traversal built on this stays inside the read log.
+        """
+        eids, others = self.geometry.incident_edges(v)
+        if self.read_log is not None:
+            return [(e, w) for e, w in zip(eids.tolist(), others.tolist())
+                    if self.is_open(e)]
+        sel = self.open_mask()[eids]
+        return list(zip(eids[sel].tolist(), others[sel].tolist()))
 
     def peek_open(self, e) -> bool:
         """Status check that bypasses the read log (validation and tests only)."""
@@ -198,22 +211,4 @@ def calibrate_pc_scan(d: int, r: int, p_grid, samples: int, seed: int,
 
 def _ball_growth_depth(cfg: BondConfig, x: int, kmax: int) -> int:
     """Largest k <= kmax with a vertex at intrinsic distance exactly k from x."""
-    g = cfg.geometry
-    mask = cfg.open_mask()
-    seen = {int(x)}
-    frontier = [int(x)]
-    depth = 0
-    while frontier and depth < kmax:
-        nxt = []
-        for v in frontier:
-            eids, others = g.incident_edges(v)
-            for w in others[mask[eids]]:
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            return depth
-        depth += 1
-        frontier = nxt
-    return depth
+    return max(bfs(int(x), cfg.open_incident, kmax)[0].values())

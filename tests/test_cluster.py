@@ -62,6 +62,15 @@ class TestComponents:
             eids, _ = cfg.geometry.incident_edges(int(v))
             expected.update(int(e) for e in eids)
         assert cfg.read_log == expected
+        # a ball reads the incident edges of the vertices inside its radius
+        for k in range(5):
+            cfg = sample_config(g25, 0.45, 23).instrumented()
+            ball = intrinsic_ball(cfg, 0, k)
+            expected = set()
+            for v, dv in ball.distances.items():
+                if dv < k:
+                    expected.update(int(e) for e in g25.incident_edges(v)[0])
+            assert cfg.read_log == expected
 
 
 class TestIntrinsicBalls:

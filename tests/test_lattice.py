@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusperc.lattice import (GeometryError, build_box, build_torus,
-                               canonical_rep, r_equivalent, torus_distance)
+                               canonical_rep, get_torus, r_equivalent,
+                               torus_distance)
 
 
 def reference_edge_array(g):
@@ -111,6 +112,24 @@ class TestEdgeEndpoints:
             for e in eids:
                 assert g.edge_endpoints(e) == tuple(ends[e].tolist())
                 assert all(type(x) is int for x in g.edge_endpoints(e))
+
+
+class TestGetTorusCache:
+    def test_call_forms_share_one_entry(self):
+        get_torus.cache_clear()
+        g = get_torus(3, 5)
+        assert get_torus(3, 5, "nn") is g
+        assert get_torus(3, 5, "nn", 1) is g
+        assert get_torus(3, 5, model="nn", L=1) is g
+        assert get_torus(3, 5, "nn", 2) is g          # L means nothing under "nn"
+        assert get_torus.cache_info().currsize == 1
+        assert get_torus(3, 5, "spread-out", 1) is not g
+
+    def test_validation_is_not_bypassed(self):
+        get_torus.cache_clear()
+        get_torus(3, 5)
+        with pytest.raises(GeometryError):
+            get_torus(3.0, 5)
 
 
 class TestDistances:
