@@ -13,7 +13,7 @@ import json
 import sys
 from datetime import datetime, timezone
 
-from . import cluster as _cluster
+from . import bands
 from . import coupling as _coupling
 from . import cycles as _cycles
 from . import estimators as _est
@@ -297,33 +297,35 @@ def _cmd_estimate(args) -> int:
 
 
 def _band_check(quantity: str, report: _est.EstimateReport) -> list[str]:
-    """Built-in acceptance bands; mirrors the acceptance test module."""
+    """The acceptance bands of `bands` applied to one report."""
     failures = []
     if quantity == "vertex-long-cycle":
         fits = [s for s in report.slopes if s.quantity == "vertex-long-cycle-count"]
         if not fits:
             failures.append("no slope fit produced")
-        elif not (1 / 3 - 0.2 <= fits[0].slope <= 1 / 3 + 0.2):
+        elif not bands.count_slope_in_band(fits[0].slope):
             failures.append(f"count slope {fits[0].slope:.4f} outside 1/3 +/- 0.2")
     elif quantity == "cluster-size":
         vals = [row.mean for row in report.rows if row.quantity == "cluster-size-scaled"]
-        if vals and max(vals) > 3 * min(vals):
-            failures.append(f"scaled means span {max(vals)/min(vals):.2f} > 3")
+        span = bands.ratio(vals) if vals else 1.0
+        if span > bands.CLUSTER_SIZE_FACTOR:
+            failures.append(f"scaled means span {span:.2f} > {bands.CLUSTER_SIZE_FACTOR}")
     elif quantity == "cycle-cut":
         zero = [row for row in report.rows if row.quantity.startswith("cycle-cut-zero-prob[delta=1]")]
         for row in zero:
-            lo, hi = _est.wilson_interval(round(row.mean * row.replicas), row.replicas)
-            if not (0.05 < row.mean < 0.999) or lo <= 0 or hi >= 1:
+            if not bands.zero_cut_in_band(row.mean, row.replicas)[0]:
                 failures.append(f"zero-cut probability {row.mean:.3f} at r={row.r} "
-                                f"outside (0.05, 0.999) or Wilson CI touches 0/1")
+                                f"outside {bands.ZERO_CUT_PROB} or Wilson CI touches 0/1")
         scaled = [row.mean for row in report.rows
                   if row.quantity.startswith("cycle-cut-scaled")]
-        if scaled and min(scaled) > 0 and max(scaled) > 5 * min(scaled):
-            failures.append(f"delta-scaled means span {max(scaled)/min(scaled):.2f} > 5")
+        span = bands.positive_ratio(scaled) if any(v > 0 for v in scaled) else 1.0
+        if span > bands.CUT_SCALED_FACTOR:
+            failures.append(f"delta-scaled means span {span:.2f} > {bands.CUT_SCALED_FACTOR}")
     elif quantity == "ball-boundary":
         vals = [row.mean for row in report.rows if row.quantity == "ball-boundary"]
-        if vals and max(vals) > 3 * min(vals):
-            failures.append(f"means span {max(vals)/min(vals):.2f} > 3")
+        span = bands.ratio(vals) if vals else 1.0
+        if span > bands.BALL_BOUNDARY_FACTOR:
+            failures.append(f"means span {span:.2f} > {bands.BALL_BOUNDARY_FACTOR}")
     return failures
 
 

@@ -9,10 +9,16 @@ For floor(r/4) <= 1 every cycle is long, which admits exact linear-time
 answers through bridge decomposition; the general case runs budgeted
 depth-first walk enumeration with sound pruning, returning a tri-state
 BudgetedAnswer whose No verdicts are exhaustive-search certificates.
+
+This module is the only one that branches on that threshold.  The surgery
+asks `edge_closes_long_cycle` for each stage-2 decision, and the cut
+estimators ask `cut_sums` for per-threshold cut sums; both pick the exact
+shortcut or the budgeted search themselves.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,9 +200,6 @@ class OpenSubgraph:
     def without(self, removed) -> "OpenSubgraph":
         removed = {int(e) for e in removed}
         return OpenSubgraph(self.geometry, [e for e in self.edge_ids if e not in removed])
-
-    def with_edge(self, e: int) -> "OpenSubgraph":
-        return OpenSubgraph(self.geometry, self.edge_ids + [int(e)])
 
     def component_count(self) -> int:
         seen: set[int] = set()
@@ -403,16 +406,19 @@ def _closed_walk_search(sub: OpenSubgraph, x: int, budget: WorkBudget,
 
 
 def _first_long_walk(sub: OpenSubgraph, x: int, budget: WorkBudget,
-                     **prune) -> CycleWitness | None:
-    """The first long closed walk the search from x meets, or None."""
+                     through: int | None = None, **prune) -> CycleWitness | None:
+    """The first long closed walk the search from x meets, or None; with
+    `through`, only walks that traverse that edge count."""
     g = sub.geometry
     t = long_cycle_threshold(g)
     found: list[CycleWitness] = []
 
     def grab(verts) -> bool:
         if cycle_radius(g, verts) >= t:
-            found.append(CycleWitness.from_vertices(g, verts))
-            return True
+            w = CycleWitness.from_vertices(g, verts)
+            if through is None or through in w.edges:
+                found.append(w)
+                return True
         return False
 
     _closed_walk_search(sub, x, budget, grab, **prune)
@@ -636,6 +642,34 @@ def _long_cycle_vertices_general(sub: OpenSubgraph, feasible: set[int],
     return yes
 
 
+def longest_long_fundamental_cycle(cfg: BondConfig, budget: int = DEFAULT_BUDGET) -> int:
+    """Length of the longest long cycle among spanning-forest chord cycles.
+
+    A cheap witness generator: the true maximum cycle length is at least this.
+    The budget applies per cluster, and a cluster that exhausts it is skipped.
+    """
+    g = cfg.geometry
+    t = long_cycle_threshold(g)
+    cm = _cluster.component_map(cfg)
+    best = 0
+    for lab in np.flatnonzero(cm.surplus >= 1):
+        sub = OpenSubgraph(g, cm.cluster_edges(int(lab)))
+        b = WorkBudget(budget)
+        try:
+            _, parent, tree_edges = _lift_forest(sub, b)
+            for e in sub.edge_ids:
+                if e in tree_edges:
+                    continue
+                u, v = g.edge_endpoints(e)
+                verts = _chord_cycle(parent, u, v)
+                length = len(verts) - 1
+                if length > best and cycle_radius(g, verts) >= t:
+                    best = length
+        except BudgetExhausted:
+            continue
+    return best
+
+
 def shortest_long_cycle_through(cfg: BondConfig, x: int, k: int,
                                 budget: int = DEFAULT_BUDGET) -> BudgetedAnswer:
     """Decide whether x lies on an open long cycle of length at most k."""
@@ -701,6 +735,64 @@ def min_long_cycle_cut(cfg: BondConfig, cl: "_cluster.Cluster",
         raise AssertionError("removing all non-bridge edges must kill every cycle")
     except BudgetExhausted:
         return BudgetedAnswer(UNKNOWN, upper_bound=ub, work=b.spent, budget=budget)
+
+
+def cut_sums(cfg: BondConfig, thresholds,
+             budget: int = DEFAULT_BUDGET) -> list[int] | None:
+    """Per size threshold t, the summed minimum long-cycle cuts of the
+    clusters with more than t vertices; None if any of those cuts is Unknown.
+
+    When every cycle is long a cluster's cut is its surplus, summed straight
+    from the component map.  Otherwise every cluster with a cycle above the
+    smallest threshold gets one budgeted `min_long_cycle_cut`.
+    """
+    cm = _cluster.component_map(cfg)
+    if _all_cycles_long(cfg.geometry):
+        cuts = cm.surplus
+    else:
+        cuts = np.zeros_like(cm.surplus)
+        low = min(thresholds, default=math.inf)
+        for lab in np.flatnonzero((cm.sizes > low) & (cm.surplus > 0)):
+            ans = min_long_cycle_cut(cfg, cm.cluster(int(lab)), budget)
+            if ans.is_unknown:
+                return None
+            cuts[lab] = ans.value
+    return [int(cuts[cm.sizes > t].sum()) for t in thresholds]
+
+
+def edge_closes_long_cycle(g: TorusGeometry, graph_edges, e: int,
+                           budget: int = DEFAULT_BUDGET,
+                           witness: bool = True) -> BudgetedAnswer:
+    """Does adding edge e to a long-cycle-free open graph create a long cycle?
+
+    Every such cycle traverses e.  When every cycle is long the graph is a
+    forest, so e closes one exactly when a forest path joins its endpoints;
+    the certificate is that path closed by e, built only with `witness`.
+    Otherwise a budgeted walk search over the graph plus e runs from one
+    endpoint of e, only closures through e count, and a Yes always carries
+    its witness.
+    """
+    b = WorkBudget(budget)
+    u, v = g.edge_endpoints(e)
+    try:
+        if _all_cycles_long(g):
+            path = OpenSubgraph(g, graph_edges).path_between(u, v)
+            if path is None:
+                return BudgetedAnswer(NO, work=b.spent, budget=budget)
+            b.charge(len(path))
+            cert = CycleWitness.from_vertices(g, path + [u]) if witness else None
+            return BudgetedAnswer(YES, witness=cert, work=b.spent, budget=budget)
+        sub = OpenSubgraph(g, [*graph_edges, e])
+        feasible = _feasible_vertices(sub, long_cycle_threshold(g), b)
+        found = None
+        if u in feasible and v in feasible:
+            found = _wrap_cycle_witness(sub, b)
+            if found is None or not (found.long and e in found.edges):
+                found = _first_long_walk(sub, u, b, through=e, feasible=feasible)
+        return BudgetedAnswer(NO if found is None else YES, witness=found,
+                              work=b.spent, budget=budget)
+    except BudgetExhausted:
+        return BudgetedAnswer(UNKNOWN, work=b.spent, budget=budget)
 
 
 def long_cycle_interior(cfg: BondConfig, root: int,

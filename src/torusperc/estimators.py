@@ -252,36 +252,12 @@ def est_vertex_long_cycle(d, r_values, *, model=NEAREST_NEIGHBOR, L=1, p=None,
 # cycle-cut (sum of minimum long-cycle cuts over big clusters)
 
 
-def _cut_sums(cfg, deltas, budget) -> tuple[bool, list[int]]:
-    """Sum of per-cluster minimum cuts over clusters above each size threshold."""
-    g = cfg.geometry
-    V = g.num_vertices
-    cm = _cluster.component_map(cfg)
-    if _cycles._all_cycles_long(g):
-        sums = []
-        for delta in deltas:
-            threshold = delta * V ** (2.0 / 3.0)
-            mask = (cm.sizes > threshold) & (cm.surplus > 0)
-            sums.append(int(cm.surplus[mask].sum()))
-        return True, sums
-    sums = []
-    for delta in deltas:
-        threshold = delta * V ** (2.0 / 3.0)
-        total = 0
-        for lab in np.flatnonzero((cm.sizes > threshold) & (cm.surplus > 0)):
-            ans = _cycles.min_long_cycle_cut(cfg, cm.cluster(int(lab)), budget)
-            if ans.is_unknown:
-                return False, []
-            total += ans.value
-        sums.append(total)
-    return True, sums
-
-
 def _cut_worker(args):
     i, d, r, model, L, p, seed, budget, deltas = args
     g = get_torus(d, r, model, L)
     cfg = sample_config(g, p, derive_seed(seed, _S_CUT, r, i))
-    return _cut_sums(cfg, deltas, budget)
+    V = g.num_vertices
+    return _cycles.cut_sums(cfg, [delta * V ** (2.0 / 3.0) for delta in deltas], budget)
 
 
 def est_cycle_cut(d, r_values, delta_values=(0.5, 1.0, 2.0), *,
@@ -305,7 +281,7 @@ def est_cycle_cut(d, r_values, delta_values=(0.5, 1.0, 2.0), *,
                              [(d, r, model, L, p_val, seed, budget, tuple(deltas))
                               for r in r_values], replicas, threads)
     for r, results in zip(r_values, per_size):
-        clean = [sums for ok, sums in results if ok]
+        clean = [sums for sums in results if sums is not None]
         discarded = replicas - len(clean)
         for j, delta in enumerate(deltas):
             vals = [sums[j] for sums in clean]
@@ -423,33 +399,6 @@ def est_cycle_length_profile(d, r, k_values, *, model=NEAREST_NEIGHBOR, L=1,
 # long-cycle length tail
 
 
-def _longest_long_fundamental_cycle(cfg, budget) -> int:
-    """Length of the longest long cycle among spanning-forest chord cycles.
-
-    A cheap witness generator: the true maximum cycle length is at least this.
-    """
-    g = cfg.geometry
-    t = _cycles.long_cycle_threshold(g)
-    cm = _cluster.component_map(cfg)
-    best = 0
-    for lab in np.flatnonzero(cm.surplus >= 1):
-        sub = _cycles.OpenSubgraph(g, cm.cluster_edges(int(lab)))
-        b = _cycles.WorkBudget(budget)
-        try:
-            _, parent, tree_edges = _cycles._lift_forest(sub, b)
-            for e in sub.edge_ids:
-                if e in tree_edges:
-                    continue
-                u, v = g.edge_endpoints(e)
-                verts = _cycles._chord_cycle(parent, u, v)
-                length = len(verts) - 1
-                if length > best and _cycles.cycle_radius(g, verts) >= t:
-                    best = length
-        except _cycles.BudgetExhausted:
-            continue
-    return best
-
-
 def _tail_worker(args):
     i, d, r, model, L, p, seed, budget = args
     g = get_torus(d, r, model, L)
@@ -457,7 +406,7 @@ def _tail_worker(args):
     count, unknown = _cycles.long_cycle_vertex_count(cfg, budget)
     if unknown:
         return (False, 0, 0)
-    longest = _longest_long_fundamental_cycle(cfg, budget)
+    longest = _cycles.longest_long_fundamental_cycle(cfg, budget)
     return (True, count, longest)
 
 

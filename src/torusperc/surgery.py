@@ -8,6 +8,11 @@ it to the growing open graph cannot create a long cycle; the rest become
 special edges whose statuses are never read.  With all special edges closed
 the cluster provably contains no long cycles, which is the kill-switch the
 estimators build on.
+
+The graph grown in stage 2 is a plain set of open edges, starting from the
+stage-1 tree, and each decision is one `cycles.edge_closes_long_cycle` call.
+Only `cycles` knows the long-cycle threshold: when every cycle is long, every
+surplus edge closes a tree cycle and so comes out special.
 """
 from __future__ import annotations
 
@@ -18,8 +23,7 @@ import numpy as np
 
 from . import cluster as _cluster
 from . import cycles as _cycles
-from .cycles import (DEFAULT_BUDGET, BudgetExhausted, CycleWitness, OpenSubgraph,
-                     WorkBudget)
+from .cycles import DEFAULT_BUDGET, CycleWitness
 from .percolation import BondConfig, replica_rng
 
 
@@ -263,7 +267,7 @@ def second_stage(cfg: BondConfig, s1: Stage1Result,
         u, v = g.edge_endpoints(e)
         incident_surplus.setdefault(u, []).append(e)
         incident_surplus.setdefault(v, []).append(e)
-    graph = _GrowingGraph(g, s1)
+    graph_edges = set(s1.tree_edges)
     claimed: set[int] = set()
     probed: list[int] = []
     special: list[int] = []
@@ -280,10 +284,11 @@ def second_stage(cfg: BondConfig, s1: Stage1Result,
             remaining.pop()
         e = admissible[0]
         claimed.add(e)
-        decision = graph.adding_creates_long_cycle(e, budget_per_decision,
-                                                   want_witness=want_witness)
+        decision = _cycles.edge_closes_long_cycle(g, graph_edges, e,
+                                                  budget_per_decision,
+                                                  witness=want_witness)
         if decision.is_unknown:
-            return Stage2Result(s1, ordering, sorted(graph.open_edges), probed,
+            return Stage2Result(s1, ordering, sorted(graph_edges), probed,
                                 special, valid=False, certificates=certificates)
         if decision.is_yes:
             special.append(e)                 # status deliberately unread
@@ -294,10 +299,10 @@ def second_stage(cfg: BondConfig, s1: Stage1Result,
         else:
             probed.append(e)
             if cfg.is_open(e):
-                graph.add_edge(e)
+                graph_edges.add(e)
     if set(probed) | set(special) != set(s1.surplus_edges) or set(probed) & set(special):
         raise ExplorationInvariantError("probed/special do not partition the surplus")
-    return Stage2Result(s1, ordering, sorted(graph.open_edges), probed, special,
+    return Stage2Result(s1, ordering, sorted(graph_edges), probed, special,
                         valid=True, certificates=certificates)
 
 
@@ -312,104 +317,6 @@ def _check_special_edge(g, s1: Stage1Result, ordering: BranchOrdering, e: int,
     if path_edges & set(witness.edges):
         raise ExplorationInvariantError(
             f"certificate cycle of {e} shares edges with the root path of {b}")
-
-
-class _GrowingGraph:
-    """Open graph grown during stage 2, with incremental long-cycle decisions.
-
-    When every cycle is long (threshold <= 1) the graph stays a forest and the
-    decision reduces to a union-find connectivity test; otherwise a budgeted
-    search runs on the current subgraph plus the candidate edge.
-    """
-
-    def __init__(self, g, s1: Stage1Result):
-        self.g = g
-        self.open_edges: set[int] = set(s1.tree_edges)
-        self.fast = _cycles._all_cycles_long(g)
-        self._parent: dict[int, int] = {v: v for v in s1.vertices}
-        for e in s1.tree_edges:
-            u, v = g.edge_endpoints(e)
-            self._union(u, v)
-
-    def _find(self, v: int) -> int:
-        p = self._parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def _union(self, u: int, v: int) -> None:
-        ru, rv = self._find(u), self._find(v)
-        if ru != rv:
-            self._parent[max(ru, rv)] = min(ru, rv)
-
-    def add_edge(self, e: int) -> None:
-        self.open_edges.add(e)
-        u, v = self.g.edge_endpoints(e)
-        self._union(u, v)
-
-    def subgraph(self) -> OpenSubgraph:
-        return OpenSubgraph(self.g, self.open_edges)
-
-    def adding_creates_long_cycle(self, e: int, budget: int,
-                                  want_witness: bool = True):
-        u, v = self.g.edge_endpoints(e)
-        if self.fast:
-            # the graph is a forest here, so a cycle appears iff u, v are
-            # already connected; every cycle is long at this threshold
-            if self._find(u) != self._find(v):
-                return _cycles.BudgetedAnswer(_cycles.NO, budget=budget)
-            if not want_witness:
-                return _cycles.BudgetedAnswer(_cycles.YES, budget=budget)
-            b = WorkBudget(budget)
-            try:
-                sub = self.subgraph()
-                path = sub.path_between(u, v)      # unique: the graph is a forest
-                b.charge(len(path))
-                witness = CycleWitness.from_vertices(self.g, list(path) + [u])
-                return _cycles.BudgetedAnswer(_cycles.YES, witness=witness,
-                                              work=b.spent, budget=budget)
-            except BudgetExhausted:
-                return _cycles.BudgetedAnswer(_cycles.UNKNOWN, work=b.spent,
-                                              budget=budget)
-        b = WorkBudget(budget)
-        try:
-            sub = self.subgraph().with_edge(e)
-            return _search_long_cycle_with_edge(sub, e, b)
-        except BudgetExhausted:
-            return _cycles.BudgetedAnswer(_cycles.UNKNOWN, work=b.spent, budget=budget)
-
-
-def _search_long_cycle_with_edge(sub: OpenSubgraph, e: int,
-                                 b: WorkBudget):
-    """Long-cycle existence in G + e, given that G alone has none.
-
-    Any long cycle must traverse e, so the walk enumeration runs from one of
-    its endpoints and only closures using e count.
-    """
-    g = sub.geometry
-    t = _cycles.long_cycle_threshold(g)
-    u, v = g.edge_endpoints(e)
-    feasible = _cycles._feasible_vertices(sub, t, b)
-    if u not in feasible or v not in feasible:
-        return _cycles.BudgetedAnswer(_cycles.NO, work=b.spent, budget=b.limit)
-    wrap = _cycles._wrap_cycle_witness(sub, b)
-    if wrap is not None and wrap.long and e in wrap.edges:
-        return _cycles.BudgetedAnswer(_cycles.YES, witness=wrap,
-                                      work=b.spent, budget=b.limit)
-    found: list[CycleWitness] = []
-
-    def grab(verts) -> bool:
-        w = CycleWitness.from_vertices(g, verts)
-        if e in w.edges and w.long:
-            found.append(w)
-            return True
-        return False
-
-    if _cycles._closed_walk_search(sub, u, b, grab, feasible=feasible):
-        return _cycles.BudgetedAnswer(_cycles.YES, witness=found[0],
-                                      work=b.spent, budget=b.limit)
-    return _cycles.BudgetedAnswer(_cycles.NO, work=b.spent, budget=b.limit)
 
 
 def explore_cluster(cfg: BondConfig, root: int,
@@ -448,26 +355,18 @@ def estimate_no_long_cycle_probability(configs, delta: float,
     for idx, cfg in enumerate(configs):
         g = cfg.geometry
         threshold = delta * g.num_vertices ** (2.0 / 3.0)
-        cm = _cluster.component_map(cfg)
-        big = [int(lab) for lab in np.flatnonzero(cm.sizes > threshold)]
         if method == "direct":
-            total = 0
-            bad = False
-            for lab in big:
-                ans = _cycles.min_long_cycle_cut(cfg, cm.cluster(lab), budget)
-                if ans.is_unknown:
-                    bad = True
-                    break
-                total += ans.value
-            if bad:
+            sums = _cycles.cut_sums(cfg, [threshold], budget)
+            if sums is None:
                 discarded += 1
                 continue
-            values.append(1.0 if total == 0 else 0.0)
+            values.append(1.0 if sums[0] == 0 else 0.0)
         else:
+            cm = _cluster.component_map(cfg)
             rng = replica_rng(rep_seed, idx)
             exponent = 0
             bad = False
-            for lab in big:
+            for lab in np.flatnonzero(cm.sizes > threshold):
                 verts = cm.cluster_vertices(lab)
                 root = int(verts[rng.integers(len(verts))])
                 res = explore_cluster(cfg, root, budget)

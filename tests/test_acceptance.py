@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from torusperc import estimators as est
-from torusperc import coupling, oracle, surgery
+from torusperc import bands, coupling, oracle, surgery
 from torusperc.cluster import all_components, component_of
 from torusperc.cycles import (OpenSubgraph, WorkBudget, cluster_contains_long_cycle,
                               min_long_cycle_cut, vertex_in_long_cycle,
@@ -373,7 +373,7 @@ def test_criterion_5i_long_cycle_count_slope():
     clean = {row.r: row.replicas for row in rep.rows
              if row.quantity == "vertex-long-cycle-count"}
     fit = [s for s in rep.slopes if s.quantity == "vertex-long-cycle-count"][0]
-    in_band = 1 / 3 - 0.2 <= fit.slope <= 1 / 3 + 0.2
+    in_band = bands.count_slope_in_band(fit.slope)
     ok = in_band and all(v >= 300 for v in clean.values()) and \
         all(discards[r] / REPLICAS < 0.10 for r in discards)
     _report("5i (count slope 1/3 +/- 0.2)", ok,
@@ -382,7 +382,8 @@ def test_criterion_5i_long_cycle_count_slope():
     assert all(v >= 300 for v in clean.values())
     assert all(discards[r] / REPLICAS < 0.10 for r in discards)
     assert in_band, (
-        f"slope {fit.slope:.3f} outside [{1/3 - 0.2:.3f}, {1/3 + 0.2:.3f}]: at "
+        f"slope {fit.slope:.3f} outside [{bands.COUNT_SLOPE[0]:.3f}, "
+        f"{bands.COUNT_SLOPE[1]:.3f}]: at "
         f"r in {{4,5,6}} the radius threshold floor(r/4) = 1 makes every "
         f"4-edge square a long cycle, so the count is dominated by local "
         f"squares (≈ 84 p^4 V) and scales like V; see README known limitations")
@@ -393,8 +394,8 @@ def test_criterion_5ii_mean_cluster_size_band():
                                     threads=THREADS)
     vals = {row.r: row.mean for row in rep.rows
             if row.quantity == "cluster-size-scaled"}
-    ratio = max(vals.values()) / min(vals.values())
-    ok = ratio <= 3
+    ratio = bands.ratio(vals.values())
+    ok = ratio <= bands.CLUSTER_SIZE_FACTOR
     _report("5ii (scaled cluster size factor-3 band)", ok,
             f"scaled means {vals}, ratio {ratio:.2f}")
     assert ok, f"band ratio {ratio:.2f} > 3"
@@ -408,9 +409,9 @@ def test_criterion_5iii_zero_cut_probability():
     for row in rep.rows:
         if not row.quantity.startswith("cycle-cut-zero-prob"):
             continue
-        lo, hi = est.wilson_interval(round(row.mean * row.replicas), row.replicas)
+        in_band, lo, hi = bands.zero_cut_in_band(row.mean, row.replicas)
         seen[row.r] = (row.mean, lo, hi)
-        if not (0.05 < row.mean < 0.999) or lo <= 0 or hi >= 1:
+        if not in_band:
             failures.append(row.r)
     ok = not failures
     _report("5iii (P(cut sum = 0) bands)", ok,
@@ -427,9 +428,8 @@ def test_criterion_5iv_scaled_cut_mean_band():
         if row.quantity.startswith("cycle-cut-scaled"):
             delta = float(row.quantity.split("delta=")[1].rstrip("]"))
             cells[(delta, row.r)] = row.mean
-    positive = [v for v in cells.values() if v > 0]
-    ratio = max(positive) / min(positive)
-    ok = ratio <= 5
+    ratio = bands.positive_ratio(cells.values())
+    ok = ratio <= bands.CUT_SCALED_FACTOR
     _report("5iv (delta-scaled cut means factor-5 band)", ok,
             f"cells {sorted(cells.items())}, joint ratio {ratio:.2f}")
     assert ok, (
@@ -449,12 +449,12 @@ def test_criterion_6_ball_boundary_flatness():
     rep = est.est_ball_boundary_sum(D7, [2, 4, 6, 8], replicas=2000, seed=1006,
                                     threads=THREADS)
     vals = {row.r: row.mean for row in rep.rows}
-    ratio = max(vals.values()) / min(vals.values())
+    ratio = bands.ratio(vals.values())
     elapsed = time.time() - t0
-    ok = ratio <= 3 and elapsed < 1800
+    ok = ratio <= bands.BALL_BOUNDARY_FACTOR and elapsed < 1800
     _report("6 (ball-boundary flatness)", ok,
             f"means {vals}, ratio {ratio:.2f}, {elapsed:.0f}s")
-    assert ratio <= 3, f"means {vals} span ratio {ratio:.2f} > 3"
+    assert ratio <= bands.BALL_BOUNDARY_FACTOR, f"means {vals} span ratio {ratio:.2f} > 3"
     assert elapsed < 1800
 
 

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from torusperc.cli import main
+from torusperc import bands
+from torusperc.cli import _band_check, main
+from torusperc.estimators import EstimateReport, Row
 
 
 def run_cli(args, capsys):
@@ -137,3 +139,20 @@ class TestDeterministicOutput:
         proc = subprocess.run([sys.executable, "-m", "torusperc.cli", "pc"],
                               capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout
+
+
+class TestBandCheck:
+    def test_cut_span_ignores_zero_cells(self):
+        # a zero cell must not switch the factor-5 check off: the span is
+        # taken over the positive cells, 10 / 1 here
+        report = EstimateReport(rows=[
+            Row(f"cycle-cut-scaled[delta={delta:g}]", 7, 4, None, 0.08, 30, 0,
+                mean, 0.1) for delta, mean in ((0.5, 0.0), (1.0, 1.0), (2.0, 10.0))])
+        failures = _band_check("cycle-cut", report)
+        assert len(failures) == 1 and "span 10.00 > 5" in failures[0]
+
+    def test_bands_hold_their_values(self):
+        assert bands.COUNT_SLOPE == (1 / 3 - 0.2, 1 / 3 + 0.2)
+        assert bands.ZERO_CUT_PROB == (0.05, 0.999)
+        assert (bands.CLUSTER_SIZE_FACTOR, bands.CUT_SCALED_FACTOR,
+                bands.BALL_BOUNDARY_FACTOR) == (3, 5, 3)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from torusperc import estimators as est
 from torusperc import oracle
 from torusperc.cluster import all_components, component_of
 from torusperc.cycles import (MalformedCycleError, OpenSubgraph,
-                              cluster_contains_long_cycle, cycle_radius,
+                              cluster_contains_long_cycle, cut_sums, cycle_radius,
                               has_wrapping_cluster, is_long_cycle,
                               long_cycle_interior, long_cycle_threshold,
                               long_cycle_vertex_count, min_long_cycle_cut,
@@ -332,3 +333,33 @@ class TestOracleAgreement:
                 cut = min_long_cycle_cut(cfg, cl)
                 assert cut.value == oracle.exact_min_long_cycle_cut(sub,
                                                                     override=True)
+
+
+class TestCutSums:
+    # d=2, r=8: threshold 2, so the sums come from budgeted cut searches
+    THRESHOLDS = [0.0, 10.0, 30.0, 50.0]
+
+    def test_equals_summed_min_cuts(self, g28):
+        for i in (0, 2, 3, 4, 5):
+            cfg = sample_config(g28, 0.45, derive_seed(461, i))
+            cuts = [(cl.size, min_long_cycle_cut(cfg, cl).value)
+                    for cl in all_components(cfg)]
+            want = [sum(v for size, v in cuts if size > t) for t in self.THRESHOLDS]
+            assert cut_sums(cfg, self.THRESHOLDS) == want
+
+    def test_none_when_a_cut_is_unknown(self, g28):
+        cfg = sample_config(g28, 0.45, derive_seed(461, 2))
+        (cl,) = [cl for cl in all_components(cfg) if cl.surplus > 0]
+        assert min_long_cycle_cut(cfg, cl, budget=200).is_unknown
+        assert cut_sums(cfg, [0.0, 50.0], budget=200) is None
+        # clusters at or below every threshold are never searched
+        assert cut_sums(cfg, [float(cl.size)], budget=200) == [0]
+
+    @pytest.mark.parametrize("budget", [600, 1500, 10**6])
+    def test_rows_independent_of_delta_order(self, budget):
+        def rows(deltas):
+            rep = est.est_cycle_cut(2, [5, 8], deltas, p=0.45, replicas=6,
+                                    seed=2, budget=budget)
+            return sorted(rep.to_csv(include_meta=False).splitlines()[1:])
+        forward = rows((0.5, 2.0))
+        assert len(forward) == 12 and forward == rows((2.0, 0.5))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from torusperc import oracle, surgery
-from torusperc.cluster import all_components
+from torusperc.cluster import all_components, component_map
 from torusperc.cycles import (OpenSubgraph, WorkBudget,
-                              _subgraph_contains_long_cycle)
+                              _subgraph_contains_long_cycle, long_cycle_threshold)
 from torusperc.lattice import get_torus
 from torusperc.percolation import BondConfig, derive_seed, sample_config
 
@@ -243,3 +243,60 @@ class TestEstimatorEdgeCases:
             surgery.estimate_no_long_cycle_probability([], 0.0)
         with pytest.raises(ValueError):
             surgery.estimate_no_long_cycle_probability([], 1.0, method="nope")
+
+
+def _largest_cluster_root(cfg):
+    cm = component_map(cfg)
+    return int(cm.roots[cm.order[0]])
+
+
+def _tree_path(s1, u, v):
+    """The stage-1 tree path u..v between the endpoints of a surplus edge."""
+    if s1.is_tree_ancestor(u, v):
+        return _tree_path(s1, v, u)[::-1]
+    up = s1.tree_path_to_root(u)
+    return up[:up.index(v) + 1]
+
+
+class TestDecisionRegimes:
+    @pytest.mark.parametrize("d,r,p", [(2, 5, 0.5), (3, 5, 0.3)])
+    def test_every_surplus_edge_special_when_all_cycles_long(self, d, r, p):
+        # at floor(r/4) <= 1 the stage-1 tree spans the cluster, so every
+        # surplus edge closes a tree cycle, and every cycle is long
+        g = get_torus(d, r)
+        assert long_cycle_threshold(g) <= 1
+        surplus = 0
+        for i in range(12):
+            cfg = sample_config(g, p, derive_seed(451, d, r, i))
+            icfg = cfg.instrumented()
+            res = surgery.explore_cluster(icfg, _largest_cluster_root(cfg))
+            s1 = res.stage1
+            assert res.valid and res.probed_edges == []
+            assert sorted(res.special_edges) == sorted(s1.surplus_edges)
+            assert res.graph_edges == sorted(s1.tree_edges)
+            assert icfg.read_log == set(s1.explored_edges)
+            assert sorted(res.certificates) == sorted(s1.surplus_edges)
+            for e in s1.surplus_edges:
+                u, v = g.edge_endpoints(e)
+                w = res.certificates[e]
+                assert w.vertices == _tree_path(s1, u, v) + [u]
+                assert w.edges[-1] == e and w.long
+            surplus += len(s1.surplus_edges)
+        assert surplus > 20
+
+    @pytest.mark.parametrize("d,r,p", [(3, 5, 0.3), (2, 8, 0.5)])
+    def test_certificates_off_changes_no_decision(self, d, r, p):
+        g = get_torus(d, r)
+        decided = 0
+        for i in range(8):
+            cfg = sample_config(g, p, derive_seed(457, d, r, i))
+            root = _largest_cluster_root(cfg)
+            runs = []
+            for certs in (True, False):
+                icfg = cfg.instrumented()
+                res = surgery.explore_cluster(icfg, root,
+                                              collect_certificates=certs)
+                runs.append((res.to_json(), sorted(icfg.read_log)))
+                decided += len(res.probed_edges) + len(res.special_edges)
+            assert runs[0] == runs[1]
+        assert decided > 20
