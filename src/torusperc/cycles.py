@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -107,20 +108,20 @@ class CycleWitness:
         if len(verts) < 2 or verts[0] != verts[-1]:
             raise MalformedCycleError("cycle must be a closed vertex sequence")
         edges = []
-        total = np.zeros(g.d, dtype=np.int64)
+        total = (0,) * g.d
         for u, v in zip(verts, verts[1:]):
             e = g.edge_between(u, v)
             if e is None:
                 raise MalformedCycleError(f"vertices {u} and {v} are not adjacent")
             edges.append(e)
-            total += g.displacement(u, v)
+            total = tuple(map(add, total, g.edge_offset(e, u)))
         if len(set(edges)) != len(edges):
             raise MalformedCycleError("edges repeat; cycle must be edge-self-avoiding")
         if len(edges) < 3:
             raise MalformedCycleError("a cycle needs at least 3 edges")
-        if (total % g.r != 0).any():
+        if any(c % g.r for c in total):
             raise MalformedCycleError("displacements do not close up modulo r")
-        winding = tuple(int(w) for w in total // g.r)
+        winding = tuple(c // g.r for c in total)
         return cls(verts, edges, winding,
                    len(edges), cycle_radius(g, verts) >= long_cycle_threshold(g))
 
@@ -140,19 +141,31 @@ class CycleWitness:
                 "length": self.length, "long": self.long}
 
 
+def _sup_reach(g: TorusGeometry, verts) -> list[int]:
+    """Per vertex, the largest torus sup-distance to any vertex of the set.
+
+    The sup-distance is a max over axes, so per axis only the at most r
+    occupied coordinates matter: each one's circular distance to the farthest
+    occupied one (found by scanning inward from its antipode) is tabulated
+    once, then each vertex takes the max of its d table entries.  Coordinates
+    are read as mixed-radix digits.
+    """
+    r = g.r
+    verts = list(verts)
+    per_axis = []
+    for step in (r ** a for a in range(g.d)):
+        coords = [v // step % r for v in verts]
+        occupied = set(coords)
+        far = {c: next(k for k in range(r // 2, -1, -1)
+                       if (c + k) % r in occupied or (c - k) % r in occupied)
+               for c in occupied}
+        per_axis.append(map(far.__getitem__, coords))
+    return [max(row) for row in zip(*per_axis)]
+
+
 def cycle_radius(g: TorusGeometry, vertices) -> int:
     """min over cycle vertices u of max over cycle vertices v of sup-distance."""
-    verts = sorted({int(v) for v in vertices})
-    coords = g.vertex_coords(np.asarray(verts, dtype=np.int64))
-    best = None
-    for i in range(len(verts)):
-        delta = np.abs(((coords - coords[i]) + g.r // 2) % g.r - g.r // 2)
-        far = int(delta.max(axis=1).max())
-        if best is None or far < best:
-            best = far
-            if best == 0:
-                break
-    return best if best is not None else 0
+    return min(_sup_reach(g, {int(v) for v in vertices}), default=0)
 
 
 def is_long_cycle(g: TorusGeometry, cycle) -> bool:
@@ -287,15 +300,15 @@ def _lift_forest(sub: OpenSubgraph, budget: WorkBudget):
             budget.charge()
             yield pair
 
-    pos: dict[int, np.ndarray] = {}
+    pos: dict[int, tuple[int, ...]] = {}
     parent: dict[int, tuple[int | None, int | None]] = {}
     for s in sub.vertices:
         if s in pos:
             continue
         _, tree = bfs(s, step)
-        for w, (v, _) in tree.items():
-            pos[w] = (np.zeros(g.d, dtype=np.int64) if v is None
-                      else pos[v] + g.displacement(v, w))
+        for w, (v, e) in tree.items():
+            pos[w] = ((0,) * g.d if v is None
+                      else tuple(map(add, pos[v], g.edge_offset(e, v))))
         parent.update(tree)
     tree_edges = {e for _, e in parent.values() if e is not None}
     return pos, parent, tree_edges
@@ -326,8 +339,7 @@ def _wrap_cycle_witness(sub: OpenSubgraph, budget: WorkBudget) -> CycleWitness |
             continue
         budget.charge()
         u, v = g.edge_endpoints(e)
-        mismatch = pos[u] + g.displacement(u, v) - pos[v]
-        if (mismatch != 0).any():
+        if tuple(map(add, pos[u], g.edge_offset(e, u))) != pos[v]:
             return CycleWitness.from_vertices(g, _chord_cycle(parent, u, v))
     return None
 
@@ -431,19 +443,11 @@ def _feasible_vertices(sub: OpenSubgraph, t: int, budget: WorkBudget) -> set[int
     A cycle vertex must see another cycle vertex that far, and cycle vertices
     are a subset of the subgraph's, so this prune never discards a long cycle.
     """
-    g = sub.geometry
-    verts = np.asarray(sub.vertices, dtype=np.int64)
-    if len(verts) == 0:
+    verts = sub.vertices
+    if not verts:
         return set()
     budget.charge(len(verts))
-    coords = g.vertex_coords(verts)
-    half = g.r // 2
-    out = set()
-    for i, v in enumerate(verts):
-        delta = np.abs((coords - coords[i] + half) % g.r - half)
-        if int(delta.max(axis=1).max()) >= t:
-            out.add(int(v))
-    return out
+    return {v for v, far in zip(verts, _sup_reach(sub.geometry, verts)) if far >= t}
 
 
 def _shortest_cycle_through(sub: OpenSubgraph, x: int,

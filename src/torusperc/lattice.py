@@ -8,6 +8,9 @@ from base to the other endpoint is lexicographically positive.  The resulting
 integer EdgeId order is the fixed, platform-independent edge enumeration that
 the exploration algorithms rely on.  On the torus, EdgeId = base * K + rank
 yields both endpoints by mixed-radix arithmetic; no endpoint table is stored.
+The same code gives each edge step its displacement, +offsets[rank] from the
+base and -offsets[rank] from the other end (`edge_offset`), so walks sum
+displacements without touching coordinates.
 """
 from __future__ import annotations
 
@@ -114,6 +117,7 @@ class TorusGeometry:
         self._steps = [self.r ** j for j in range(self.d)]     # _radix as Python ints
         self._offset_rank = {tuple(int(c) for c in o): j
                              for j, o in enumerate(self.offsets)}
+        self._signed_offsets = _signed_offsets(self.offsets)
         self.origin = int(((0 - self._lo) * self._radix).sum())   # id of (0,...,0)
         self._edge_array = None
         self._incident_eids = None
@@ -177,15 +181,27 @@ class TorusGeometry:
             self._edge_array = self.endpoints(np.arange(self.num_edges, dtype=np.int64))
         return self._edge_array
 
+    def edge_offset(self, e, frm) -> tuple[int, ...]:
+        """Displacement of the step along edge e that leaves endpoint frm."""
+        base, rank = divmod(int(e), self.num_offsets)
+        return self._signed_offsets[rank][int(frm) != base]
+
     def edge_between(self, u, v) -> int | None:
-        """EdgeId joining u and v, or None if not adjacent."""
-        delta = tuple(int(c) for c in self.displacement(u, v))
+        """EdgeId joining u and v, or None if not adjacent.
+
+        The displacement is taken digit by digit on Python ints: digit j of
+        v minus digit j of u is (v // r^j - u // r^j) mod r, centered.  Its
+        offset rank, or that of its negative, names the edge.
+        """
+        u, v = int(u), int(v)
+        delta = tuple((v // s - u // s - self._lo) % self.r + self._lo
+                      for s in self._steps)
         rank = self._offset_rank.get(delta)
         if rank is not None:
-            return int(u) * self.num_offsets + rank
+            return u * self.num_offsets + rank
         rank = self._offset_rank.get(tuple(-c for c in delta))
         if rank is not None:
-            return int(v) * self.num_offsets + rank
+            return v * self.num_offsets + rank
         return None
 
     def _incident_tables(self):
@@ -303,6 +319,7 @@ class BoxGeometry:
         self.num_vertices = num_vertices
         self._origin = np.asarray(center, dtype=np.int64) - self.n
         self._radix = self.side ** np.arange(self.d, dtype=np.int64)
+        self._signed_offsets = _signed_offsets(self.offsets)
         self._build_edges()
         self.center_vertex = int(self.vertex_index(np.asarray(center, dtype=np.int64)))
 
@@ -372,6 +389,14 @@ class BoxGeometry:
         e = int(e)
         return int(self._edge_base[e]), int(self._edge_rank[e])
 
+    def edge_offset(self, e, frm) -> tuple[int, ...]:
+        """Displacement of the step along edge e that leaves endpoint frm.
+
+        Box EdgeIds are compacted, so the rank comes from the stored arrays.
+        """
+        base, rank = self.edge_base_rank(e)
+        return self._signed_offsets[rank][int(frm) != base]
+
     def edge_id(self, base: int, rank: int) -> int | None:
         """EdgeId for (base vertex, offset rank), or None if it leaves the box."""
         e = int(self._edge_lookup[int(base), int(rank)])
@@ -402,9 +427,6 @@ class BoxGeometry:
     def neighbors(self, v) -> np.ndarray:
         return self.incident_edges(v)[1]
 
-    def displacement(self, u, v) -> np.ndarray:
-        return self.vertex_coords(v) - self.vertex_coords(u)
-
     # -- boundary ------------------------------------------------------------
 
     def is_boundary(self, v) -> bool:
@@ -415,6 +437,11 @@ class BoxGeometry:
         c = self.vertex_coords(np.arange(self.num_vertices))
         sup = np.abs(c - np.asarray(self.center, dtype=np.int64)).max(axis=1)
         return np.flatnonzero(sup == self.n)
+
+
+def _signed_offsets(offsets: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per rank, (offset, -offset) as tuples of Python ints."""
+    return [(tuple(o), tuple(-c for c in o)) for o in offsets.tolist()]
 
 
 def _rank_of(offsets: np.ndarray, delta: tuple) -> int | None:

@@ -8,10 +8,13 @@ invoke at scale by accident.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
-from .cycles import CycleWitness, OpenSubgraph, cycle_radius, long_cycle_threshold
+import numpy as np
+
+from .cycles import CycleWitness, OpenSubgraph, long_cycle_threshold
 from .percolation import BondConfig
 
 CYCLE_GUARD_EDGES = 40
@@ -20,6 +23,16 @@ CONFIG_GUARD_EDGES = 24
 
 class OracleGuardError(RuntimeError):
     """The input exceeds the oracle's hard size guard."""
+
+
+def brute_force_radius(g, vertices) -> int:
+    """min over vertices u of max over vertices v of the torus sup-distance,
+    pair by pair: the definition that `cycles.cycle_radius` computes per axis."""
+    verts = sorted({int(v) for v in vertices})
+    coords = g.vertex_coords(np.asarray(verts, dtype=np.int64))
+    half = g.r // 2
+    return min((int(np.abs((coords - c + half) % g.r - half).max()) for c in coords),
+               default=0)
 
 
 def _canonical_closed_walk(verts: list[int]) -> tuple[int, ...]:
@@ -48,12 +61,13 @@ def enumerate_all_cycles(sub: OpenSubgraph, max_length: int | None = None,
 
     Walks may pass through vertices repeatedly (figure-eights included); each
     cycle is reported from its smallest vertex with the lexicographically
-    smaller direction.
+    smaller direction.  The long-flag comes from `brute_force_radius`.
     """
     if sub.num_edges > guard and not override:
         raise OracleGuardError(
             f"{sub.num_edges} open edges exceeds the oracle guard ({guard})")
     g = sub.geometry
+    t = long_cycle_threshold(g)
     out: dict[tuple, CycleWitness] = {}
 
     def dfs(start: int):
@@ -74,7 +88,9 @@ def enumerate_all_cycles(sub: OpenSubgraph, max_length: int | None = None,
                 if w == start and len(used) >= 3:
                     key = _canonical_closed_walk(path)
                     if key not in out:
-                        out[key] = CycleWitness.from_vertices(g, list(key) + [key[0]])
+                        cyc = CycleWitness.from_vertices(g, list(key) + [key[0]])
+                        out[key] = dataclasses.replace(
+                            cyc, long=brute_force_radius(g, key) >= t)
                 step(w)
                 path.pop()
                 used_set.discard(used.pop())
@@ -94,9 +110,7 @@ def exact_min_long_cycle_cut(sub: OpenSubgraph, guard: int = CYCLE_GUARD_EDGES,
     of the enumerated long cycles' edge sets.
     """
     cycles = enumerate_all_cycles(sub, guard=guard, override=override)
-    t = long_cycle_threshold(sub.geometry)
-    long_sets = [frozenset(c.edges) for c in cycles
-                 if cycle_radius(sub.geometry, c.vertices) >= t]
+    long_sets = [frozenset(c.edges) for c in cycles if c.long]
     if not long_sets:
         return 0
     universe = sorted(set().union(*long_sets))

@@ -1,5 +1,6 @@
 """Module boundaries, checked on the source: only `cycles` knows the
-long-cycle threshold, and its private names stay inside it."""
+long-cycle threshold, its private names stay inside it, and its per-edge-step
+kernels never go through coordinates."""
 import ast
 from pathlib import Path
 
@@ -47,3 +48,24 @@ def test_only_cycles_knows_the_threshold_shortcut():
 def test_no_private_cycles_names_outside_cycles():
     for name in ("estimators.py", "surgery.py", "cli.py"):
         assert list(_private_cycles_names(_tree(name))) == [], name
+
+
+#: Per-edge-step and radius kernels: displacements come from `edge_offset`
+#: and coordinates from mixed-radix digits, never from a numpy call per step.
+COORDINATE_FREE = {"from_vertices", "_lift_forest", "_wrap_cycle_witness",
+                   "_feasible_vertices", "cycle_radius", "_sup_reach"}
+
+
+def _called(node):
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_cycle_kernels_take_no_coordinates():
+    found = {}
+    for node in ast.walk(_tree("cycles.py")):
+        if isinstance(node, ast.FunctionDef) and node.name in COORDINATE_FREE:
+            found[node.name] = {_called(c) for c in ast.walk(node) if isinstance(c, ast.Call)}
+    assert set(found) == COORDINATE_FREE
+    for name, calls in found.items():
+        assert not calls & {"displacement", "vertex_coords", "centered_mod"}, name

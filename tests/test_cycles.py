@@ -1,17 +1,22 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusperc import estimators as est
 from torusperc import oracle
 from torusperc.cluster import all_components, component_of
-from torusperc.cycles import (MalformedCycleError, OpenSubgraph,
+from torusperc.cycles import (MalformedCycleError, OpenSubgraph, WorkBudget,
+                              _feasible_vertices,
                               cluster_contains_long_cycle, cut_sums, cycle_radius,
                               has_wrapping_cluster, is_long_cycle,
                               long_cycle_interior, long_cycle_threshold,
                               long_cycle_vertex_count, min_long_cycle_cut,
                               shortest_long_cycle_through, vertex_in_long_cycle,
                               winding_vector)
-from torusperc.lattice import get_torus
+from torusperc.lattice import get_torus, torus_distance
 from torusperc.percolation import derive_seed, sample_config
 
 from conftest import config_from_edges, edge_of, wrap_line_edges
@@ -108,6 +113,35 @@ class TestPredicates:
             rotated.append(rotated[0])
             assert is_long_cycle(g, rotated) == want
         assert is_long_cycle(g, verts[::-1]) == want
+
+
+@st.composite
+def vertex_sets(draw):
+    """A torus with d in 1..5 and odd or even r, and up to 12 distinct vertices
+    drawn around a centre with a random spread, so every radius occurs."""
+    g = get_torus(draw(st.integers(1, 5)), draw(st.sampled_from([3, 4, 5, 8, 12])))
+    spread = draw(st.sampled_from([0, 1, 2, 3, g.r]))
+    centre = draw(st.lists(st.integers(0, g.r - 1), min_size=g.d, max_size=g.d))
+    shifts = draw(st.lists(st.lists(st.integers(-spread, spread), min_size=g.d,
+                                    max_size=g.d), max_size=12))
+    verts = sorted({g.vertex_index([c + s for c, s in zip(centre, sh)]) for sh in shifts})
+    return g, verts
+
+
+class TestRadiusKernels:
+    @given(vertex_sets())
+    @example((get_torus(3, 8), []))
+    @example((get_torus(3, 8), [17]))
+    @settings(max_examples=150, deadline=None)
+    def test_radius_and_feasible_vertices_match_brute_force(self, case):
+        g, verts = case
+        assert cycle_radius(g, verts) == oracle.brute_force_radius(g, verts)
+        reach = {v: int(torus_distance(g, v, np.asarray(verts)).max()) for v in verts}
+        sub = SimpleNamespace(geometry=g, vertices=verts)
+        for t in range(g.r // 2 + 2):
+            budget = WorkBudget(10**6)
+            assert _feasible_vertices(sub, t, budget) == {v for v in verts if reach[v] >= t}
+            assert budget.spent == len(verts)
 
 
 class TestWrappingDetection:

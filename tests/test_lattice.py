@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusperc.lattice import (GeometryError, build_box, build_torus,
-                               canonical_rep, get_torus, r_equivalent,
-                               torus_distance)
+                               canonical_rep, centered_mod, get_torus,
+                               r_equivalent, torus_distance)
 
 
 def reference_edge_array(g):
@@ -112,6 +112,86 @@ class TestEdgeEndpoints:
             for e in eids:
                 assert g.edge_endpoints(e) == tuple(ends[e].tolist())
                 assert all(type(x) is int for x in g.edge_endpoints(e))
+
+
+def displacement_rule(g, u, v):
+    """EdgeId by the displacement: u*K + rank of coords(v) - coords(u), or
+    v*K + rank of its negation, or None."""
+    ranks = {tuple(o): j for j, o in enumerate(g.offsets.tolist())}
+    delta = tuple(g.displacement(u, v).tolist())
+    for base, probe in ((u, delta), (v, tuple(-c for c in delta))):
+        if probe in ranks:
+            return base * g.num_offsets + ranks[probe]
+    return None
+
+
+WALK_GEOMETRIES = [
+    lambda: get_torus(1, 3), lambda: get_torus(2, 3), lambda: get_torus(3, 4),
+    lambda: get_torus(2, 8), lambda: get_torus(2, 5, "spread-out", 1),
+    lambda: get_torus(2, 5, "spread-out", 2), lambda: build_box([0, 0], 3),
+    lambda: build_box([1, -1, 2], 1, 3), lambda: build_box([2, 0], 2, 2, "spread-out"),
+]
+
+
+class TestEdgeArithmetic:
+    @given(st.sampled_from([(2, 5, 1), (2, 5, 2), (3, 7, 3)]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_spread_out_edge_between_matches_displacement_rule(self, dims, data):
+        d, r, L = dims
+        g = get_torus(d, r, "spread-out", L)
+        for e in data.draw(st.lists(st.integers(0, g.num_edges - 1), min_size=1, max_size=10)):
+            u, v = g.edge_endpoints(e)
+            assert g.edge_between(u, v) == g.edge_between(v, u) == e
+        V = g.num_vertices
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)),
+                                   min_size=1, max_size=10))
+        for u, v in pairs + [(pairs[0][0], pairs[0][0])]:
+            assert g.edge_between(u, v) == displacement_rule(g, u, v), (u, v)
+
+    @given(st.sampled_from([3, 4, 8]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_nn_edge_between_matches_displacement_rule(self, r, data):
+        g = get_torus(data.draw(st.integers(1, 3 if r == 8 else 4)), r)
+        V = g.num_vertices
+        for e in data.draw(st.lists(st.integers(0, g.num_edges - 1), min_size=1, max_size=10)):
+            u, v = g.edge_endpoints(e)
+            assert g.edge_between(u, v) == g.edge_between(v, u) == e
+            assert displacement_rule(g, u, v) == e
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)),
+                                   max_size=10))
+        # id gaps of r^j and (r-1) r^j: adjacent, or a borrow across a digit
+        u = data.draw(st.integers(0, V - 1))
+        for gap in (g.r ** j * m for j in range(g.d) for m in (1, g.r - 1)):
+            pairs += [(u, (u + gap) % V), (u, (u - gap) % V)]
+        for u, v in pairs + [(u, u)]:
+            assert g.edge_between(u, v) == displacement_rule(g, u, v), (u, v)
+
+    @given(st.sampled_from(WALK_GEOMETRIES), st.integers(0, 10**6), st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_edge_offsets_sum_to_displacements_along_walks(self, make, seed, steps):
+        g = make()
+        box = hasattr(g, "edge_base_rank")       # a box does not wrap
+        rng = np.random.default_rng(seed)
+        start = v = int(rng.integers(g.num_vertices))
+        total = np.zeros(g.d, dtype=np.int64)
+        for _ in range(steps):
+            eids, others = g.incident_edges(v)
+            if len(eids) == 0:
+                break
+            k = int(rng.integers(len(eids)))
+            e, w = int(eids[k]), int(others[k])
+            off = g.edge_offset(e, v)
+            assert all(type(c) is int for c in off)
+            assert g.edge_offset(e, w) == tuple(-c for c in off)
+            assert g.edge_offset(eids[k], others[k]) == tuple(-c for c in off)  # numpy ints
+            want = (g.vertex_coords(w) - g.vertex_coords(v)) if box else g.displacement(v, w)
+            assert off == tuple(want.tolist())
+            total += off
+            v = w
+        if box:
+            assert np.array_equal(total, g.vertex_coords(v) - g.vertex_coords(start))
+        else:
+            assert np.array_equal(centered_mod(total, g.r), g.displacement(start, v))
 
 
 class TestGetTorusCache:
