@@ -5,10 +5,15 @@ adjacent, all edges are pairwise distinct, and vertices may repeat (so
 figure-eight walks count).  A cycle is long when every one of its vertices has
 another cycle vertex at torus sup-distance at least floor(r/4).
 
-For floor(r/4) <= 1 every cycle is long, which admits exact linear-time
-answers through bridge decomposition; the general case runs budgeted
-depth-first walk enumeration with sound pruning, returning a tri-state
-BudgetedAnswer whose No verdicts are exhaustive-search certificates.
+A cycle uses no bridge and is connected, so it lies inside one
+2-edge-connected block of its cluster: a component left once the bridges are
+deleted.  The vertex queries (`long_cycle_vertex_count`,
+`vertex_in_long_cycle`) split each cluster into its blocks and search one
+block at a time.  For floor(r/4) <= 1 every cycle is long, so the vertices on
+long cycles are exactly the block vertices; the general case runs budgeted
+depth-first walk enumeration inside each block with sound pruning, returning
+a tri-state BudgetedAnswer whose No verdicts are exhaustive-search
+certificates.
 
 This module is the only one that branches on that threshold.  The surgery
 asks `edge_closes_long_cycle` for each stage-2 decision, and the cut
@@ -279,16 +284,25 @@ def _bridges(sub: OpenSubgraph) -> set[int]:
     return bridges
 
 
-def _cycle_vertices_exact(sub: OpenSubgraph) -> set[int]:
-    """Vertices lying on some cycle = endpoints of non-bridge edges."""
+def _blocks(sub: OpenSubgraph):
+    """Each 2-edge-connected block with an edge, as (vertex set, sorted edges).
+
+    The blocks are the components left once the bridges are deleted.  An
+    edge-self-avoiding closed walk uses no bridge and is connected, so every
+    cycle lies inside one block, and every block vertex lies on some cycle.
+    """
     bridges = _bridges(sub)
-    out: set[int] = set()
+
+    def step(v):
+        return [(e, w) for e, w in sub.adj[v] if e not in bridges]
+
+    done = set(bridges)
     for e in sub.edge_ids:
-        if e not in bridges:
-            u, v = sub.geometry.edge_endpoints(e)
-            out.add(u)
-            out.add(v)
-    return out
+        if e not in done:
+            verts = set(bfs(sub.geometry.edge_endpoints(e)[0], step)[0])
+            edges = sorted({f for v in verts for f, _ in step(v)})
+            done.update(edges)
+            yield verts, edges
 
 
 def _lift_forest(sub: OpenSubgraph, budget: WorkBudget):
@@ -543,28 +557,35 @@ def _min_long_cycle_through(sub: OpenSubgraph, x: int, budget: WorkBudget,
 
 def vertex_in_long_cycle(cfg: BondConfig, x: int,
                          budget: int = DEFAULT_BUDGET) -> BudgetedAnswer:
-    """Is x on an open long cycle?  Tri-state with witness and certificates."""
+    """Is x on an open long cycle?  Tri-state with witness and certificates.
+
+    Every cycle through x lies in x's 2-edge-connected block, so only that
+    block is searched.
+    """
     g = cfg.geometry
     t = long_cycle_threshold(g)
     b = WorkBudget(budget)
+    x = int(x)
     try:
         cl = _cluster.component_of(cfg, x)
         b.charge(max(1, len(cl.edges)))
         if cl.surplus == 0:
             return BudgetedAnswer(NO, work=b.spent, budget=budget)
-        sub = OpenSubgraph.from_cluster(cfg, cl)
-        if _all_cycles_long(g):
-            b.charge(len(cl.edges))
-            if int(x) in _cycle_vertices_exact(sub):
-                witness = _shortest_cycle_through(sub, x, b)
-                witness.validate(g, cfg)
-                return BudgetedAnswer(YES, witness=witness, work=b.spent, budget=budget)
+        b.charge(len(cl.edges))
+        block = next((edges for verts, edges in _blocks(OpenSubgraph.from_cluster(cfg, cl))
+                      if x in verts), None)
+        if block is None:
             return BudgetedAnswer(NO, work=b.spent, budget=budget)
+        sub = OpenSubgraph(g, block)
+        if _all_cycles_long(g):
+            witness = _shortest_cycle_through(sub, x, b)
+            witness.validate(g, cfg)
+            return BudgetedAnswer(YES, witness=witness, work=b.spent, budget=budget)
         feasible = _feasible_vertices(sub, t, b)
-        if int(x) not in feasible:
+        if x not in feasible:
             return BudgetedAnswer(NO, work=b.spent, budget=budget)
         wrap = _wrap_cycle_witness(sub, b)
-        if wrap is not None and wrap.long and int(x) in wrap.vertices:
+        if wrap is not None and wrap.long and x in wrap.vertices:
             return BudgetedAnswer(YES, witness=wrap, work=b.spent, budget=budget)
         found = _first_long_walk(sub, x, b, feasible=feasible)
         if found is not None:
@@ -590,8 +611,9 @@ def long_cycle_vertex_count(cfg: BondConfig,
                             budget: int = DEFAULT_BUDGET) -> tuple[int, bool]:
     """Number of vertices with a definite Yes; flag set if any query was Unknown.
 
-    The budget applies per cluster.  Clusters that are trees or whose vertex
-    set is too concentrated to host a long cycle are skipped outright.
+    The budget applies per cluster, and each of its 2-edge-connected blocks is
+    searched on its own.  Trees, and blocks whose vertex set is too
+    concentrated to host a long cycle, are skipped outright.
     """
     g = cfg.geometry
     t = long_cycle_threshold(g)
@@ -606,15 +628,16 @@ def long_cycle_vertex_count(cfg: BondConfig,
     for cl in clusters:
         b = WorkBudget(budget)
         try:
-            sub = OpenSubgraph.from_cluster(cfg, cl)
+            b.charge(max(1, len(cl.edges)))
+            blocks = _blocks(OpenSubgraph.from_cluster(cfg, cl))
             if _all_cycles_long(g):
-                b.charge(max(1, len(cl.edges)))
-                count += len(_cycle_vertices_exact(sub))
+                count += sum(len(verts) for verts, _ in blocks)
                 continue
-            feasible = _feasible_vertices(sub, t, b)
-            if not feasible:
-                continue
-            count += len(_long_cycle_vertices_general(sub, feasible, b))
+            for _, edges in blocks:
+                sub = OpenSubgraph(g, edges)
+                feasible = _feasible_vertices(sub, t, b)
+                if feasible:
+                    count += len(_long_cycle_vertices_general(sub, feasible, b))
         except BudgetExhausted:
             any_unknown = True
     return count, any_unknown
@@ -727,8 +750,7 @@ def min_long_cycle_cut(cfg: BondConfig, cl: "_cluster.Cluster",
         if first.is_no:
             return BudgetedAnswer(YES, value=0, upper_bound=ub,
                                   work=b.spent, budget=budget)
-        bridges = _bridges(sub)
-        candidates = [e for e in sub.edge_ids if e not in bridges]
+        candidates = sorted(e for _, edges in _blocks(sub) for e in edges)
         for k in range(1, ub + 1):
             for subset in itertools.combinations(candidates, k):
                 b.charge()

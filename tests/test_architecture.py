@@ -1,6 +1,7 @@
 """Module boundaries, checked on the source: only `cycles` knows the
-long-cycle threshold, its private names stay inside it, and its per-edge-step
-kernels never go through coordinates."""
+long-cycle threshold, its private names stay inside it, its per-edge-step
+kernels never go through coordinates, and only its block split computes
+bridges."""
 import ast
 from pathlib import Path
 
@@ -69,3 +70,13 @@ def test_cycle_kernels_take_no_coordinates():
     assert set(found) == COORDINATE_FREE
     for name, calls in found.items():
         assert not calls & {"displacement", "vertex_coords", "centered_mod"}, name
+
+
+def test_blocks_alone_compute_bridges():
+    callers = {node.name for node in ast.walk(_tree("cycles.py"))
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(c, ast.Call) and _called(c) == "_bridges"
+                       for c in ast.walk(node))}
+    assert callers == {"_blocks"}
+    assert all("_cycle_vertices_exact" not in _identifiers(_tree(path.name))
+               for path in PACKAGE.glob("*.py"))

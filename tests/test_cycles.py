@@ -9,7 +9,7 @@ from torusperc import estimators as est
 from torusperc import oracle
 from torusperc.cluster import all_components, component_of
 from torusperc.cycles import (MalformedCycleError, OpenSubgraph, WorkBudget,
-                              _feasible_vertices,
+                              _blocks, _feasible_vertices,
                               cluster_contains_long_cycle, cut_sums, cycle_radius,
                               has_wrapping_cluster, is_long_cycle,
                               long_cycle_interior, long_cycle_threshold,
@@ -144,6 +144,44 @@ class TestRadiusKernels:
             assert budget.spent == len(verts)
 
 
+@st.composite
+def open_edge_sets(draw):
+    """A d=2 torus of side 5 or 8 with each edge open or closed at will."""
+    g = get_torus(2, draw(st.sampled_from([5, 8])))
+    bits = draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))
+    return g, [e for e, bit in enumerate(bits) if bit]
+
+
+def _components_keeping_vertices(sub, removed):
+    """Component count of `sub` minus the `removed` edges, over all of its
+    vertices (an endpoint left without edges still counts)."""
+    rest = sub.without(removed)
+    for v in sub.vertices:
+        rest.adj.setdefault(v, [])
+    rest.vertices = sorted(rest.adj)
+    return rest.component_count()
+
+
+class TestBlocks:
+    @given(open_edge_sets())
+    @example((get_torus(2, 5), []))
+    @example((get_torus(2, 8), list(range(get_torus(2, 8).num_edges))))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_partition_the_non_bridge_edges(self, case):
+        g, edges = case
+        sub = OpenSubgraph(g, edges)
+        base = sub.component_count()
+        non_bridges = [e for e in sub.edge_ids
+                       if _components_keeping_vertices(sub, [e]) == base]
+        blocks = list(_blocks(sub))
+        assert sorted(e for _, block_edges in blocks for e in block_edges) == non_bridges
+        for verts, block_edges in blocks:
+            block = OpenSubgraph(g, block_edges)
+            assert block_edges and set(block.vertices) == verts
+            assert block.component_count() == 1
+            assert all(_components_keeping_vertices(block, [e]) == 1 for e in block_edges)
+
+
 class TestWrappingDetection:
     def test_extremes(self, g25):
         assert not any(has_wrapping_cluster(sample_config(g25, 0.0, 1)).values())
@@ -207,6 +245,19 @@ class TestBudgetedSearches:
         count, unknown = long_cycle_vertex_count(cfg)
         assert count == g28.r and not unknown
 
+    @pytest.mark.parametrize("r", [4, 8])
+    def test_count_two_blocks_joined_by_bridges(self, r):
+        # rows y=0 and y=2 wrap the torus; the path between them is two
+        # bridges, so its middle vertex lies on no cycle
+        g = get_torus(2, r)
+        rows = [[(x, y) for x in range(r)] for y in (0, 2)]
+        edges = [edge_of(g, row[i], row[(i + 1) % r]) for row in rows for i in range(r)]
+        edges += [edge_of(g, (0, 0), (0, 1)), edge_of(g, (0, 1), (0, 2))]
+        cfg = config_from_edges(g, edges)
+        assert long_cycle_vertex_count(cfg) == (2 * r, False)
+        assert vertex_in_long_cycle(cfg, vid(g, 0, 1)).is_no
+        assert vertex_in_long_cycle(cfg, vid(g, 3, 2)).is_yes
+
     def test_count_zero_at_p0(self, g25):
         assert long_cycle_vertex_count(sample_config(g25, 0.0, 1)) == (0, False)
 
@@ -214,6 +265,14 @@ class TestBudgetedSearches:
         cfg = config_from_edges(g28, wrap_line_edges(g28))
         count, unknown = long_cycle_vertex_count(cfg, budget=1)
         assert unknown
+
+    def test_critical_d4_r8_counts_are_decided(self):
+        # master seed 9 at d=4, r=8, p_c: the whole-cluster walk search ran
+        # out of budget on replica 0; per block both replicas are decided,
+        # with counts 122 and 30 (mean 76, standard error 46)
+        row = est.est_vertex_long_cycle(4, [8], replicas=2, seed=9).rows[0]
+        assert (row.replicas, row.discarded) == (2, 0)
+        assert (row.mean, row.stderr) == (76.0, 46.0)
 
     def test_shortest_long_cycle_bounds(self, g28):
         cfg = config_from_edges(g28, wrap_line_edges(g28))
@@ -343,6 +402,25 @@ class TestOracleAgreement:
                 assert cut.is_yes
                 assert cut.value == oracle.exact_min_long_cycle_cut(
                     sub, override=True)
+
+    @pytest.mark.parametrize("p", [0.32, 0.4, 0.45])
+    def test_long_cycle_vertex_count_matches_oracle(self, g28, p):
+        # threshold 2: the per-block search counts exactly the vertices that
+        # lie on some enumerated long cycle
+        checked = 0
+        for i in range(60):
+            cfg = sample_config(g28, p, derive_seed(523, i))
+            cyclic = [cl for cl in all_components(cfg) if cl.surplus > 0]
+            if any(len(cl.edges) > 40 for cl in cyclic):
+                continue
+            on_long = set()
+            for cl in cyclic:
+                for c in oracle.enumerate_all_cycles(OpenSubgraph(g28, cl.edges)):
+                    if c.long:
+                        on_long.update(c.vertices)
+            assert long_cycle_vertex_count(cfg) == (len(on_long), False), i
+            checked += 1
+        assert checked >= 20
 
     def test_definite_verdicts_match_enumeration(self, g25):
         for i in range(60):

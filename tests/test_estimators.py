@@ -228,9 +228,12 @@ class TestDeterminism:
              dict(p=0.45, replicas=6, origins=2)),
             (est.est_long_cycle_tail, (2, 5, [0.5, 1.0]), dict(p=0.45, replicas=6)),
             (est.est_two_point, (3, 4), dict(p=0.2487, replicas=6)),
+            # threshold 2 at p_c: the per-block walk search
+            (est.est_vertex_long_cycle, (4, [8]), dict(replicas=4, seed=9)),
         ]
         for fn, args, kwargs in calls:
-            csvs = [fn(*args, seed=42, threads=t, **kwargs).to_csv() for t in (1, 2, 4)]
+            kwargs = {"seed": 42, **kwargs}
+            csvs = [fn(*args, threads=t, **kwargs).to_csv() for t in (1, 2, 4)]
             assert csvs[0] == csvs[1] == csvs[2], fn.__name__
 
     def test_seed_reproducibility(self):

@@ -77,7 +77,7 @@ DIGESTS = {
     "ball-boundary":
         "ffb9f00e643f89da1062bf9eef572e2c87314d10465071c713fd38bffeed395b",
     "budgeted-answers":
-        "0f11bb5b4602055e90b2a7ebbc8e9bde8275c4dbf8d95f0b6d1fc2a08c204d8b",
+        "cea47c3ffc6b8df40d1cc708dbdec15988a222caa85b3a1047e77aa480e6b5ae",
     "cluster-size":
         "85df8ef400c5fb8aa491e24da429fe421fa2f36ee23c20f7e723a64d15f7579d",
     "couple-d2-r5":
@@ -93,7 +93,7 @@ DIGESTS = {
     "explore-d3-r5":
         "6eecf0db7d087895df9fa179f18e38535608757d457f03a7622454e29545849f",
     "long-cycle-tail":
-        "94ee494a2f8804986a932aa7d80825a2f4048ef454efa5c210b42ac1d429888c",
+        "e291c76f56d9470c384d48383dcb39b0e56a0717f0ab9533e7e4b4be00a99e4c",
     "two-point":
         "3d352c0b5a791a14bb80c131586c7afc80f044693e0c1ea78ca4eca9e4e20c5e",
     "vertex-long-cycle":
