@@ -1,13 +1,16 @@
 """Joint sampling of torus and lattice percolation through unwrapping.
 
 The exploration starts at the origin of a finite lattice window and unwraps
-the torus cluster of the origin edge by edge: each time a lattice edge is
-selected, every other window member of its wrap-equivalence class is declared
-ghost, and the edge inherits the status of its torus representative.  Each
-torus edge status is consumed at most once.  Unexplored window edges (ghosts
-included) are filled from an independent lattice sample, so both marginals
-remain product Bernoulli(p) while the two intrinsic balls around the origin
-are coupled.
+the torus cluster of the origin edge by edge: each selected lattice edge
+inherits the status of its torus representative, and every other window
+member of its wrap-equivalence class is declared ghost.  One cached map sends
+each window edge to its torus EdgeId, so a class is just the preimage of one
+torus edge: the exploration skips edges whose torus edge was already
+consumed, each torus edge status is consumed at most once, and the ghosts
+are read off the consumed torus edges once the exploration stops.
+Unexplored window edges (ghosts included) are filled from an independent
+lattice sample, so both marginals remain product Bernoulli(p) while the two
+intrinsic balls around the origin are coupled.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import NEAREST_NEIGHBOR, BoxGeometry, TorusGeometry, bfs, get_torus
+from .lattice import NEAREST_NEIGHBOR, BoxGeometry, bfs, get_torus
 from .percolation import BondConfig, derive_seed, sample_config
 
 
@@ -80,24 +83,21 @@ def coupled_sample(d: int, r: int, p: float, seed: int, window_factor: int = 4,
     free_cfg = sample_config(window, p, derive_seed(seed, 1))
     probe = torus_cfg.instrumented()
 
+    torus_of = _torus_edge_map(d, r, n)
     origin = int(window.vertex_index([0] * d))
     dist: dict[int, int] = {origin: 0}
-    explored: set[int] = set()
     explored_open: set[int] = set()
     explored_closed: set[int] = set()
-    ghosts: set[int] = set()
     torus_reads: list[int] = []
-    consumed: set[int] = set()
+    consumed = np.zeros(g.num_edges, dtype=bool)
     truncated = bool(window.is_boundary(origin))
     heap: list[tuple[int, int]] = []     # (BFS distance, window edge id)
 
     def push_vertex_edges(v: int) -> None:
         eids, _ = window.incident_edges(v)
         dv = dist[v]
-        for e in eids:
-            e = int(e)
-            if e not in explored:
-                heapq.heappush(heap, (dv, e))
+        for e in eids[~consumed[torus_of[eids]]].tolist():
+            heapq.heappush(heap, (dv, e))
 
     push_vertex_edges(origin)
     steps = 0
@@ -106,22 +106,13 @@ def coupled_sample(d: int, r: int, p: float, seed: int, window_factor: int = 4,
             truncated = True
             break
         _, e = heapq.heappop(heap)
-        if e in explored:
+        te = int(torus_of[e])
+        if consumed[te]:            # e itself or a wrap-equivalent edge was read
             continue
         steps += 1
-        # ghost all other members of the wrap-equivalence class first
-        for f in _class_members(window, e, r).tolist():
-            if f != e and f not in explored:
-                ghosts.add(f)
-                explored.add(f)
-        te = _torus_edge_of(g, window, e, r)
-        if te in consumed:
-            raise AssertionError(f"torus edge {te} consumed twice")
-        consumed.add(te)
+        consumed[te] = True
         torus_reads.append(te)
-        status = probe.is_open(te)
-        explored.add(e)
-        if status:
+        if probe.is_open(te):
             explored_open.add(e)
             u, v = window.edge_endpoints(e)
             du, dv = dist.get(u), dist.get(v)
@@ -135,7 +126,11 @@ def coupled_sample(d: int, r: int, p: float, seed: int, window_factor: int = 4,
                 push_vertex_edges(w)
         else:
             explored_closed.add(e)
+    if len(set(torus_reads)) != len(torus_reads):
+        raise AssertionError("a torus edge was consumed twice")
 
+    # ghosts: the other window members of every read wrap-equivalence class
+    ghosts = set(np.flatnonzero(consumed[torus_of]).tolist()) - explored_open - explored_closed
     lattice_open = free_cfg.open_mask().copy()
     lattice_open[sorted(explored_open)] = True
     lattice_open[sorted(explored_closed)] = False
@@ -145,32 +140,20 @@ def coupled_sample(d: int, r: int, p: float, seed: int, window_factor: int = 4,
                           steps, window_factor)
 
 
-def _class_members(window: BoxGeometry, e: int, r: int) -> np.ndarray:
-    """Window edge ids wrap-equivalent to e (including e itself)."""
-    base, rank = window.edge_base_rank(e)
-    c = window.vertex_coords(base)
-    n = window.n
-    axes = []
-    for i in range(window.d):
-        delta = 1 if i == rank else 0
-        lo = -((n + int(c[i])) // r)                 # ceil((-n - c_i) / r)
-        hi = (n - int(c[i]) - delta) // r
-        axes.append(np.arange(lo, hi + 1, dtype=np.int64) * r + int(c[i]))
-    grids = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([a.ravel() for a in grids], axis=-1)
-    bases = window.vertex_index(coords)
-    eids = window.edge_ids_for(bases, rank)
-    return eids[eids >= 0]
+@lru_cache(maxsize=8)
+def _torus_edge_map(d: int, r: int, n: int) -> np.ndarray:
+    """Torus EdgeId of every nearest-neighbour edge of the window [-n, n]^d.
 
-
-def _torus_edge_of(g: TorusGeometry, window: BoxGeometry, e: int, r: int) -> int:
-    u, v = window.edge_endpoints(e)
-    tu = g.vertex_index(window.vertex_coords(u))
-    tv = g.vertex_index(window.vertex_coords(v))
-    te = g.edge_between(tu, tv)
-    if te is None:
-        raise AssertionError("window edge has no torus representative")
-    return te
+    A window edge steps +1 along axis `rank` from its base, and so does its
+    torus image from the wrapped base; with r >= 3 that step is already the
+    canonical offset, so the image is wrap(base) * K + rank.  Window edges
+    share an image exactly when they are wrap-equivalent.
+    """
+    g = get_torus(d, r)
+    window = _get_window(d, n, NEAREST_NEIGHBOR)
+    coords = window.vertex_coords(window.endpoints(np.arange(window.num_edges)))
+    ranks = np.argmax(coords[:, 1] - coords[:, 0], axis=-1)
+    return g.vertex_index(coords[:, 0]) * g.num_offsets + ranks
 
 
 def lattice_distances(sample: CouplingSample, kmax: int) -> dict[int, int]:
@@ -212,9 +195,9 @@ def check_inclusion_property(sample: CouplingSample, k_values) -> InclusionRepor
     kmax = k_values[-1] if k_values else 0
     dt = torus_distances(sample, kmax)
     dz = lattice_distances(sample, kmax)
+    xs = g.vertex_index(window.vertex_coords(np.fromiter(dz, dtype=np.int64)))
     best: dict[int, int] = {}
-    for y, dy in dz.items():
-        x = int(g.vertex_index(window.vertex_coords(y)))
+    for x, dy in zip(xs.tolist(), dz.values()):
         if x not in best or dy < best[x]:
             best[x] = dy
     violations: dict[int, list[int]] = {}

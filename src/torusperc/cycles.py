@@ -16,7 +16,8 @@ a tri-state BudgetedAnswer whose No verdicts are exhaustive-search
 certificates.
 
 This module is the only one that branches on that threshold.  The surgery
-asks `edge_closes_long_cycle` for each stage-2 decision, and the cut
+asks `edge_closes_long_cycle` for each stage-2 decision, passing the one
+`OpenSubgraph` it grows in place with `OpenSubgraph.add`, and the cut
 estimators ask `cut_sums` for per-threshold cut sums; both pick the exact
 shortcut or the budgeted search themselves.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import insort
 from dataclasses import dataclass
 from operator import add
 
@@ -214,6 +216,17 @@ class OpenSubgraph:
     @property
     def num_edges(self) -> int:
         return len(self.edge_ids)
+
+    def add(self, e: int) -> None:
+        """Insert a new edge in place, in the order a fresh build would give."""
+        e = int(e)
+        u, v = self.geometry.edge_endpoints(e)
+        insort(self.edge_ids, e)
+        for a, b in ((u, v), (v, u)):
+            if a not in self.adj:
+                self.adj[a] = []
+                insort(self.vertices, a)
+            insort(self.adj[a], (e, b))
 
     def without(self, removed) -> "OpenSubgraph":
         removed = {int(e) for e in removed}
@@ -786,7 +799,7 @@ def cut_sums(cfg: BondConfig, thresholds,
     return [int(cuts[cm.sizes > t].sum()) for t in thresholds]
 
 
-def edge_closes_long_cycle(g: TorusGeometry, graph_edges, e: int,
+def edge_closes_long_cycle(graph: OpenSubgraph, e: int,
                            budget: int = DEFAULT_BUDGET,
                            witness: bool = True) -> BudgetedAnswer:
     """Does adding edge e to a long-cycle-free open graph create a long cycle?
@@ -794,21 +807,22 @@ def edge_closes_long_cycle(g: TorusGeometry, graph_edges, e: int,
     Every such cycle traverses e.  When every cycle is long the graph is a
     forest, so e closes one exactly when a forest path joins its endpoints;
     the certificate is that path closed by e, built only with `witness`.
-    Otherwise a budgeted walk search over the graph plus e runs from one
-    endpoint of e, only closures through e count, and a Yes always carries
-    its witness.
+    Otherwise a budgeted walk search over a copy of the graph plus e runs
+    from one endpoint of e, only closures through e count, and a Yes always
+    carries its witness.  The graph itself is left unchanged.
     """
+    g = graph.geometry
     b = WorkBudget(budget)
     u, v = g.edge_endpoints(e)
     try:
         if _all_cycles_long(g):
-            path = OpenSubgraph(g, graph_edges).path_between(u, v)
+            path = graph.path_between(u, v)
             if path is None:
                 return BudgetedAnswer(NO, work=b.spent, budget=budget)
             b.charge(len(path))
             cert = CycleWitness.from_vertices(g, path + [u]) if witness else None
             return BudgetedAnswer(YES, witness=cert, work=b.spent, budget=budget)
-        sub = OpenSubgraph(g, [*graph_edges, e])
+        sub = OpenSubgraph(g, [*graph.edge_ids, e])
         feasible = _feasible_vertices(sub, long_cycle_threshold(g), b)
         found = None
         if u in feasible and v in feasible:

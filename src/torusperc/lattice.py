@@ -402,10 +402,6 @@ class BoxGeometry:
         e = int(self._edge_lookup[int(base), int(rank)])
         return e if e >= 0 else None
 
-    def edge_ids_for(self, bases, rank: int) -> np.ndarray:
-        """Vectorized edge_id; invalid slots come back as -1."""
-        return self._edge_lookup[np.asarray(bases, dtype=np.int64), int(rank)]
-
     def edge_array(self) -> np.ndarray:
         return np.column_stack([self._edge_base, self._edge_other])
 

@@ -9,8 +9,9 @@ special edges whose statuses are never read.  With all special edges closed
 the cluster provably contains no long cycles, which is the kill-switch the
 estimators build on.
 
-The graph grown in stage 2 is a plain set of open edges, starting from the
-stage-1 tree, and each decision is one `cycles.edge_closes_long_cycle` call.
+The graph grown in stage 2 is one `cycles.OpenSubgraph` of the stage-1 tree,
+grown in place as probed edges come out open, and each decision is one
+`cycles.edge_closes_long_cycle` call on it.
 Only `cycles` knows the long-cycle threshold: when every cycle is long, every
 surplus edge closes a tree cycle and so comes out special.
 """
@@ -267,7 +268,7 @@ def second_stage(cfg: BondConfig, s1: Stage1Result,
         u, v = g.edge_endpoints(e)
         incident_surplus.setdefault(u, []).append(e)
         incident_surplus.setdefault(v, []).append(e)
-    graph_edges = set(s1.tree_edges)
+    graph = _cycles.OpenSubgraph(g, s1.tree_edges)
     claimed: set[int] = set()
     probed: list[int] = []
     special: list[int] = []
@@ -284,11 +285,10 @@ def second_stage(cfg: BondConfig, s1: Stage1Result,
             remaining.pop()
         e = admissible[0]
         claimed.add(e)
-        decision = _cycles.edge_closes_long_cycle(g, graph_edges, e,
-                                                  budget_per_decision,
+        decision = _cycles.edge_closes_long_cycle(graph, e, budget_per_decision,
                                                   witness=want_witness)
         if decision.is_unknown:
-            return Stage2Result(s1, ordering, sorted(graph_edges), probed,
+            return Stage2Result(s1, ordering, list(graph.edge_ids), probed,
                                 special, valid=False, certificates=certificates)
         if decision.is_yes:
             special.append(e)                 # status deliberately unread
@@ -299,10 +299,10 @@ def second_stage(cfg: BondConfig, s1: Stage1Result,
         else:
             probed.append(e)
             if cfg.is_open(e):
-                graph_edges.add(e)
+                graph.add(e)
     if set(probed) | set(special) != set(s1.surplus_edges) or set(probed) & set(special):
         raise ExplorationInvariantError("probed/special do not partition the surplus")
-    return Stage2Result(s1, ordering, sorted(graph_edges), probed, special,
+    return Stage2Result(s1, ordering, list(graph.edge_ids), probed, special,
                         valid=True, certificates=certificates)
 
 

@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -62,21 +64,42 @@ class TestSampler:
             assert open_classes == set(int(e) for e in cl.edges)
 
     def test_ghosting_completeness(self):
-        # every touched wrap-equivalence class has exactly one non-ghost member
+        # explored and ghost edges together are exactly the window edges of
+        # every read wrap-equivalence class (same rank, base coordinates
+        # congruent mod r), and each read class has one explored member
+        r = 3
         for i in range(20):
-            s = coupled_sample(2, 3, 0.6, seed=derive_seed(67, i),
-                               window_factor=2)
-            for e in s.explored_open | s.explored_closed:
-                members = coupling._class_members(s.window, e, 3).tolist()
-                non_ghost = [f for f in members
-                             if f in s.explored and f not in s.ghost_edges]
-                assert non_ghost == [e]
+            s = coupled_sample(2, r, 0.6, seed=derive_seed(67, i),
+                               window_factor=2, step_budget=None if i % 4 else 9)
+            w = s.window
+            classes = defaultdict(set)
+            for f in range(w.num_edges):
+                base, rank = w.edge_base_rank(f)
+                classes[rank, tuple(w.vertex_coords(base) % r)].add(f)
+            read = [c for c in classes.values() if c & s.explored]
+            assert s.ghost_edges.isdisjoint(s.explored)
+            assert s.explored | s.ghost_edges == set().union(*read)
+            assert all(len(c & s.explored) == 1 for c in read)
+            assert len(read) == len(s.torus_reads)
 
     def test_single_read_is_asserted(self):
         # torus_reads is duplicate-free by construction; double consumption
         # raises inside the sampler, so surviving samples prove the property
         s = coupled_sample(3, 4, 0.3, seed=5, window_factor=2)
         assert len(s.torus_reads) == len(set(s.torus_reads))
+
+
+class TestTorusEdgeMap:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_map_matches_edge_between(self, d, r, K):
+        g = get_torus(d, r)
+        w = coupling._get_window(d, K * r, "nn")
+        got = coupling._torus_edge_map(d, r, K * r)
+        ends = g.vertex_index(w.vertex_coords(w.edge_array()))
+        want = [g.edge_between(u, v) for u, v in ends.tolist()]
+        assert got.tolist() == want
 
 
 class TestInclusionProperty:

@@ -182,6 +182,24 @@ class TestBlocks:
             assert all(_components_keeping_vertices(block, [e]) == 1 for e in block_edges)
 
 
+class TestOpenSubgraphAdd:
+    @given(open_edge_sets(), st.randoms(use_true_random=False), st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_grown_graph_equals_fresh_build(self, case, rnd, start):
+        # edges added one at a time in any order leave the lists exactly as
+        # one build of the whole set, so every traversal visits alike
+        g, edges = case
+        rnd.shuffle(edges)
+        grown = OpenSubgraph(g, edges[:start])
+        for e in edges[start:]:
+            grown.add(e)
+        fresh = OpenSubgraph(g, edges)
+        assert grown.edge_ids == fresh.edge_ids
+        assert grown.vertices == fresh.vertices
+        assert grown.adj.keys() == fresh.adj.keys()
+        assert all(grown.adj[v] == fresh.adj[v] for v in fresh.vertices)
+
+
 class TestWrappingDetection:
     def test_extremes(self, g25):
         assert not any(has_wrapping_cluster(sample_config(g25, 0.0, 1)).values())

@@ -284,6 +284,26 @@ class TestDecisionRegimes:
             surplus += len(s1.surplus_edges)
         assert surplus > 20
 
+    def test_second_stage_builds_one_subgraph(self, monkeypatch):
+        # the stage-2 graph is built once from the tree and grown in place,
+        # not rebuilt for each decision
+        g = get_torus(3, 5)
+        built = []
+        init = OpenSubgraph.__init__
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(OpenSubgraph, "__init__", counting_init)
+        for i in range(4):
+            cfg = sample_config(g, 0.4, derive_seed(461, i))
+            s1 = surgery.depth_first_explore(cfg, _largest_cluster_root(cfg))
+            built.clear()
+            res = surgery.second_stage(cfg, s1)
+            assert res.valid and len(res.special_edges) > 10
+            assert len(built) == 1
+
     @pytest.mark.parametrize("d,r,p", [(3, 5, 0.3), (2, 8, 0.5)])
     def test_certificates_off_changes_no_decision(self, d, r, p):
         g = get_torus(d, r)
