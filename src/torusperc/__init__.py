@@ -1,8 +1,7 @@
 """Percolation on high-dimensional tori: cycle structure and scaling checks."""
 
 from .lattice import (BoxGeometry, GeometryError, TorusGeometry, build_box,
-                      build_torus, canonical_rep, get_torus, r_equivalent,
-                      torus_distance)
+                      canonical_rep, get_torus, r_equivalent, torus_distance)
 from .percolation import (BondConfig, InstrumentationError, PcEntry,
                           UnknownCriticalPointError, calibrate_pc_scan,
                           derive_seed, pc_reference, replica_rng, sample_config)

@@ -45,15 +45,15 @@ def _build_parser() -> _Parser:
         if need_r:
             sp.add_argument("--r", help="torus side, or comma list of sides")
         sp.add_argument("--model", choices=[NEAREST_NEIGHBOR, SPREAD_OUT],
-                        default=None, help="edge model (default nn)")
+                        default=NEAREST_NEIGHBOR, help="edge model (default nn)")
         sp.add_argument("--L", type=int, default=None, help="spread-out range")
         sp.add_argument("--p", type=float, default=None, help="edge probability")
         sp.add_argument("--pc-ref", action="store_true",
                         help="use the bundled critical-point reference")
         sp.add_argument("--seed", type=int, default=None, help="master seed")
-        sp.add_argument("--budget", type=int, default=None,
+        sp.add_argument("--budget", type=int, default=_cycles.DEFAULT_BUDGET,
                         help="search budget per query (node expansions)")
-        sp.add_argument("--threads", type=int, default=None, help="worker count")
+        sp.add_argument("--threads", type=int, default=1, help="worker count")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=["csv", "jsonl"], default=None)
         sp.add_argument("--no-header-meta", action="store_true",
@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("estimate", help="run a Monte Carlo estimator")
     sp.add_argument("quantity", choices=QUANTITIES)
     common(sp)
-    sp.add_argument("--replicas", type=int, default=None)
+    sp.add_argument("--replicas", type=int, default=300)
     sp.add_argument("--delta", default="0.5,1,2", help="comma list of deltas")
     sp.add_argument("--k-schedule", default=None, help="comma list of k values")
     sp.add_argument("--eps", default="0.5,1,2", help="comma list of eps values")
@@ -145,16 +145,27 @@ def _sizes(args) -> list[int]:
         raise UsageError(f"bad --r value: {args.r!r}")
 
 
-def _resolve_probability(args) -> float:
+def _check_probability_flags(args) -> None:
     if args.p is not None and args.pc_ref:
         raise UsageError("--p and --pc-ref are mutually exclusive")
+    if args.p is None and not args.pc_ref:
+        raise UsageError("need --p or --pc-ref")
+
+
+def _check_counts(args) -> None:
+    """Explicit flags are used as given, so out-of-range counts are usage errors."""
+    for flag, low in (("budget", 0), ("replicas", 1), ("threads", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            raise UsageError(f"--{flag} must be >= {low}, got {value}")
+
+
+def _resolve_probability(args) -> float:
+    _check_probability_flags(args)
     if args.p is not None:
         return args.p
-    if args.pc_ref:
-        model = args.model or NEAREST_NEIGHBOR
-        return pc_reference(args.d, model,
-                            None if model == NEAREST_NEIGHBOR else args.L).p_c
-    raise UsageError("need --p or --pc-ref")
+    return pc_reference(args.d, args.model,
+                        None if args.model == NEAREST_NEIGHBOR else args.L).p_c
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -173,11 +184,10 @@ def _cmd_sample(args) -> int:
     _require(args, "d", "r", "seed")
     sizes = _sizes(args)
     p = _resolve_probability(args)
-    model = args.model or NEAREST_NEIGHBOR
-    g = get_torus(args.d, sizes[0], model, args.L or 1)
+    g = get_torus(args.d, sizes[0], args.model, 1 if args.L is None else args.L)
     cfg = sample_config(g, p, args.seed)
-    payload = {"d": args.d, "r": sizes[0], "model": model,
-               "L": args.L if model == SPREAD_OUT else None, "p": p,
+    payload = {"d": args.d, "r": sizes[0], "model": args.model,
+               "L": args.L if args.model == SPREAD_OUT else None, "p": p,
                "seed": args.seed, "num_edges": g.num_edges,
                "open_edges": cfg.open_edge_ids().tolist()}
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
@@ -188,15 +198,13 @@ def _cmd_explore(args) -> int:
     _require(args, "d", "r", "seed")
     sizes = _sizes(args)
     p = _resolve_probability(args)
-    model = args.model or NEAREST_NEIGHBOR
-    g = get_torus(args.d, sizes[0], model, args.L or 1)
+    g = get_torus(args.d, sizes[0], args.model, 1 if args.L is None else args.L)
     cfg = sample_config(g, p, args.seed).instrumented()
     root = args.root if args.root is not None else g.origin
     if not 0 <= root < g.num_vertices:
         raise UsageError(f"root {root} outside [0, {g.num_vertices})")
-    budget = args.budget or _cycles.DEFAULT_BUDGET
     s1 = _surgery.depth_first_explore(cfg, root)
-    res = _surgery.second_stage(cfg, s1, budget_per_decision=budget)
+    res = _surgery.second_stage(cfg, s1, budget_per_decision=args.budget)
     payload = {"root": root, "stage1": s1.to_json(), "stage2": res.to_json()}
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return 0
@@ -224,16 +232,10 @@ def _parse_floats(text: str) -> list[float]:
 
 def _cmd_estimate(args) -> int:
     _require(args, "d", "seed")
-    model = args.model or NEAREST_NEIGHBOR
-    L = args.L or 1
-    p = None if args.pc_ref else args.p
-    if p is None and not args.pc_ref:
-        raise UsageError("need --p or --pc-ref")
-    replicas = args.replicas or 300
-    budget = args.budget or _cycles.DEFAULT_BUDGET
-    threads = 1 if args.threads is None else args.threads
-    if threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {threads}")
+    _check_probability_flags(args)
+    model, p, replicas, budget, threads = (args.model, args.p, args.replicas,
+                                           args.budget, args.threads)
+    L = 1 if args.L is None else args.L
     q = args.quantity
     if q == "ball-boundary":
         if not args.n_list:
@@ -339,9 +341,9 @@ def _cmd_oracle(args) -> int:
     lines.append(("tree-no-cycles", len(oracle.enumerate_all_cycles(sub)) == 0))
     # one open unit square: one cycle of length 4
     a = g.origin
-    b = int(g.torus_add(a, [1, 0]))
-    c = int(g.torus_add(a, [1, 1]))
-    dd = int(g.torus_add(a, [0, 1]))
+    b = g.vertex_index([1, 0])
+    c = g.vertex_index([1, 1])
+    dd = g.vertex_index([0, 1])
     square = [g.edge_between(a, b), g.edge_between(b, c),
               g.edge_between(dd, c), g.edge_between(a, dd)]
     sub = _cycles.OpenSubgraph(g, square)
@@ -381,6 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             raise UsageError("a subcommand is required")
         _apply_config_file(args, argv)
+        _check_counts(args)
         handler = {"sample": _cmd_sample, "explore": _cmd_explore,
                    "couple": _cmd_couple, "estimate": _cmd_estimate,
                    "oracle": _cmd_oracle, "pc": _cmd_pc}[args.command]

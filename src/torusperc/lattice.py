@@ -10,7 +10,10 @@ the exploration algorithms rely on.  On the torus, EdgeId = base * K + rank
 yields both endpoints by mixed-radix arithmetic; no endpoint table is stored.
 The same code gives each edge step its displacement, +offsets[rank] from the
 base and -offsets[rank] from the other end (`edge_offset`), so walks sum
-displacements without touching coordinates.
+displacements without touching coordinates, and each vertex its incident
+edges: it is the base of its outgoing edges v * K + j, and the base of its
+j-th incoming edge is v shifted by -offsets[j].  A torus stores nothing that
+grows with its vertex count.
 """
 from __future__ import annotations
 
@@ -80,8 +83,8 @@ class TorusGeometry:
     """d-dimensional torus of side r with nearest-neighbor or spread-out edges.
 
     Immutable after construction; safe to share across threads.  Edge
-    endpoints are computed arithmetically from the EdgeId; only the incidence
-    tables are materialized lazily and cached.
+    endpoints and incident edges are computed arithmetically from the ids;
+    no table is stored.
     """
 
     def __init__(self, d: int, r: int, model: str = NEAREST_NEIGHBOR, L: int = 1):
@@ -115,13 +118,9 @@ class TorusGeometry:
         self._lo = -(self.r // 2)
         self._radix = self.r ** np.arange(self.d, dtype=np.int64)
         self._steps = [self.r ** j for j in range(self.d)]     # _radix as Python ints
-        self._offset_rank = {tuple(int(c) for c in o): j
-                             for j, o in enumerate(self.offsets)}
         self._signed_offsets = _signed_offsets(self.offsets)
+        self._offset_rank = {o: j for j, (o, _) in enumerate(self._signed_offsets)}
         self.origin = int(((0 - self._lo) * self._radix).sum())   # id of (0,...,0)
-        self._edge_array = None
-        self._incident_eids = None
-        self._incident_others = None
 
     # -- vertex indexing ---------------------------------------------------
 
@@ -137,10 +136,6 @@ class TorusGeometry:
         digits = (c - self._lo) % self.r
         idx = (digits * self._radix).sum(axis=-1)
         return int(idx) if idx.ndim == 0 else idx
-
-    def torus_add(self, v, offset):
-        idx = self.vertex_index(self.vertex_coords(v) + np.asarray(offset, dtype=np.int64))
-        return idx
 
     def displacement(self, u, v) -> np.ndarray:
         """Centered representative of coords(v) - coords(u), componentwise."""
@@ -177,9 +172,7 @@ class TorusGeometry:
 
     def edge_array(self) -> np.ndarray:
         """(num_edges, 2) array of endpoint ids; row index is the EdgeId."""
-        if self._edge_array is None:
-            self._edge_array = self.endpoints(np.arange(self.num_edges, dtype=np.int64))
-        return self._edge_array
+        return self.endpoints(np.arange(self.num_edges, dtype=np.int64))
 
     def edge_offset(self, e, frm) -> tuple[int, ...]:
         """Displacement of the step along edge e that leaves endpoint frm."""
@@ -204,35 +197,36 @@ class TorusGeometry:
             return v * self.num_offsets + rank
         return None
 
-    def _incident_tables(self):
-        if self._incident_eids is None:
-            V, K = self.num_vertices, self.num_offsets
-            coords = self.vertex_coords(np.arange(V))
-            eids = np.empty((V, 2 * K), dtype=np.int64)
-            others = np.empty((V, 2 * K), dtype=np.int64)
-            eids[:, :K] = np.arange(V, dtype=np.int64)[:, None] * K + np.arange(K)
-            others[:, :K] = self.endpoints(eids[:, :K])[..., 1]
-            for j, off in enumerate(self.offsets):
-                base = self.vertex_index(coords - off)
-                eids[:, K + j] = base * K + j
-                others[:, K + j] = base
-            order = np.argsort(eids, axis=1)
-            self._incident_eids = np.take_along_axis(eids, order, axis=1)
-            self._incident_others = np.take_along_axis(others, order, axis=1)
-        return self._incident_eids, self._incident_others
-
     def incident_edges(self, v) -> tuple[np.ndarray, np.ndarray]:
-        """(edge ids ascending, matching other endpoints) for vertex v."""
-        eids, others = self._incident_tables()
-        return eids[v], others[v]
+        """(edge ids ascending, matching other endpoints) for vertex v.
+
+        v is the base of its outgoing edges v*K + j.  The base of its j-th
+        incoming edge is v shifted by -offsets[j].  For nearest-neighbor
+        edges that base is v - r^j, or v + (r-1) r^j where digit j of v is 0,
+        so the ids ascend as the incoming edges from bases below v in
+        decreasing j, the outgoing block, then those from above in increasing j.
+        """
+        v = _vertex_id(self, v)
+        K, r = self.num_offsets, self.r
+        if self.model == NEAREST_NEIGHBOR:
+            below, outgoing, above = [], [], []
+            for j, s in enumerate(self._steps):
+                digit = v // s % r
+                outgoing.append((v * K + j, v + s - (digit == r - 1) * r * s))
+                b = v - s + (digit == 0) * r * s
+                (above if b > v else below).append((b * K + j, b))
+            pairs = below[::-1] + outgoing + above
+        else:
+            coords = self.vertex_coords(v)
+            outs = self.vertex_index(coords + self.offsets).tolist()
+            ins = self.vertex_index(coords - self.offsets).tolist()
+            pairs = sorted([(v * K + j, w) for j, w in enumerate(outs)]
+                           + [(b * K + j, b) for j, b in enumerate(ins)])
+        eids, others = zip(*pairs)
+        return np.array(eids, dtype=np.int64), np.array(others, dtype=np.int64)
 
     def neighbors(self, v) -> np.ndarray:
         return self.incident_edges(v)[1]
-
-
-def build_torus(d: int, r: int, model: str = NEAREST_NEIGHBOR, L: int = 1) -> TorusGeometry:
-    """Construct a torus geometry; validates ranges and overflow."""
-    return TorusGeometry(d, r, model, L)
 
 
 _torus_cache = lru_cache(maxsize=32, typed=True)(TorusGeometry)
@@ -320,6 +314,7 @@ class BoxGeometry:
         self._origin = np.asarray(center, dtype=np.int64) - self.n
         self._radix = self.side ** np.arange(self.d, dtype=np.int64)
         self._signed_offsets = _signed_offsets(self.offsets)
+        self._offset_rank = {o: j for j, (o, _) in enumerate(self._signed_offsets)}
         self._build_edges()
         self.center_vertex = int(self.vertex_index(np.asarray(center, dtype=np.int64)))
 
@@ -408,7 +403,7 @@ class BoxGeometry:
     def edge_between(self, u, v) -> int | None:
         delta = tuple(int(c) for c in (self.vertex_coords(v) - self.vertex_coords(u)))
         for base, probe in ((u, delta), (v, tuple(-c for c in delta))):
-            rank = _rank_of(self.offsets, probe)
+            rank = self._offset_rank.get(probe)
             if rank is not None:
                 e = int(self._edge_lookup[int(base), rank])
                 if e >= 0:
@@ -416,7 +411,7 @@ class BoxGeometry:
         return None
 
     def incident_edges(self, v) -> tuple[np.ndarray, np.ndarray]:
-        v = int(v)
+        v = _vertex_id(self, v)
         lo, hi = self._inc_ptr[v], self._inc_ptr[v + 1]
         return self._inc_eids[lo:hi], self._inc_others[lo:hi]
 
@@ -435,16 +430,17 @@ class BoxGeometry:
         return np.flatnonzero(sup == self.n)
 
 
+def _vertex_id(g, v) -> int:
+    """v as a Python int; GeometryError unless it is a vertex of g."""
+    v = int(v)
+    if not 0 <= v < g.num_vertices:
+        raise GeometryError(f"vertex {v} outside [0, {g.num_vertices})")
+    return v
+
+
 def _signed_offsets(offsets: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Per rank, (offset, -offset) as tuples of Python ints."""
     return [(tuple(o), tuple(-c for c in o)) for o in offsets.tolist()]
-
-
-def _rank_of(offsets: np.ndarray, delta: tuple) -> int | None:
-    for j, off in enumerate(offsets):
-        if tuple(int(c) for c in off) == delta:
-            return j
-    return None
 
 
 def build_box(center, n: int, d: int | None = None,

@@ -32,6 +32,29 @@ class TestUsage:
                                 "--pc-ref", "--seed", "1"], capsys)
         assert code == 1
 
+    def test_estimate_p_and_pcref_conflict(self, capsys):
+        code, _, err = run_cli(["estimate", "cluster-size", "--d", "2", "--r", "4",
+                                "--p", "0.3", "--pc-ref", "--replicas", "2",
+                                "--seed", "1"], capsys)
+        assert code == 1 and "mutually exclusive" in err
+
+    def test_replicas_below_one_exits_1(self, capsys):
+        for replicas in ("0", "-3"):
+            code, _, err = run_cli(["estimate", "cluster-size", "--d", "2",
+                                    "--r", "4", "--p", "0.45", "--replicas", replicas,
+                                    "--seed", "1"], capsys)
+            assert code == 1
+            assert err.startswith("ERROR[usage]:") and "--replicas" in err
+
+    def test_budget_zero_is_used_and_negative_exits_1(self, capsys):
+        args = ["estimate", "vertex-long-cycle", "--d", "2", "--r", "4", "--p", "0.45",
+                "--replicas", "2", "--seed", "1", "--format", "jsonl"]
+        code, out, _ = run_cli(args + ["--budget", "0"], capsys)
+        assert code == 0
+        assert json.loads(out.splitlines()[0])["meta"]["budget"] == 0
+        code, _, err = run_cli(args + ["--budget", "-1"], capsys)
+        assert code == 1 and "--budget" in err
+
     def test_no_subcommand(self, capsys):
         assert run_cli([], capsys)[0] == 1
 

@@ -159,13 +159,21 @@ class TestReports:
 
 class TestTableFree:
     def test_d7_estimators_build_no_edge_tables(self):
+        from torusperc.percolation import pc_reference, sample_config
+        from torusperc.surgery import explore_cluster
         get_torus.cache_clear()
         kwargs = dict(replicas=2, seed=3, threads=1)
         est.est_vertex_long_cycle(7, [4], **kwargs)
         est.est_mean_cluster_size(7, [4], **kwargs)
         est.est_cycle_cut(7, [4], **kwargs)
+        est.est_two_point(7, 4, **kwargs)
         g = get_torus(7, 4, NEAREST_NEIGHBOR, 1)     # the estimators' cache key
-        assert g._edge_array is None and g._incident_eids is None
+        assert explore_cluster(sample_config(g, pc_reference(7).p_c, 3).instrumented(),
+                               g.origin).valid
+        for name, value in vars(g).items():
+            size = value.size if isinstance(value, np.ndarray) else \
+                len(value) if isinstance(value, (list, tuple, dict, set)) else 0
+            assert size < g.num_vertices, f"{name} holds {size} entries"
 
 
 class TestExhaustiveCrossChecks:

@@ -1,19 +1,28 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torusperc.lattice import (GeometryError, build_box, build_torus,
+from torusperc.cluster import component_of, intrinsic_ball
+from torusperc.cycles import vertex_in_long_cycle
+from torusperc.lattice import (GeometryError, TorusGeometry, build_box,
                                canonical_rep, centered_mod, get_torus,
                                r_equivalent, torus_distance)
+from torusperc.percolation import sample_config
+from torusperc.surgery import depth_first_explore
 
 
 def reference_edge_array(g):
-    """Row e = (base, vertex_index(vertex_coords(base) + offsets[rank])), built by table."""
-    V, K = g.num_vertices, g.num_offsets
-    coords = g.vertex_coords(np.arange(V))
-    others = g.vertex_index(coords[:, None, :] + g.offsets[None, :, :])
-    return np.column_stack([np.repeat(np.arange(V), K), others.ravel()])
+    """Row e = (base, vertex_index(vertex_coords(base) + offsets[rank])), built by table.
+
+    A torus has (base, rank) = divmod(e, K); a box compacts its ids and
+    stores the pairs."""
+    if hasattr(g, "edge_base_rank"):
+        pairs = [g.edge_base_rank(e) for e in range(g.num_edges)]
+        base, rank = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    else:
+        base, rank = np.divmod(np.arange(g.num_edges), g.num_offsets)
+    return np.column_stack([base, g.vertex_index(g.vertex_coords(base) + g.offsets[rank])])
 
 
 @st.composite
@@ -21,10 +30,10 @@ def geometries(draw):
     kind = draw(st.sampled_from(["nn", "spread-out", "box"]))
     if kind == "nn":
         d = draw(st.integers(1, 4))
-        return build_torus(d, draw(st.integers(3, {1: 9, 2: 9, 3: 6, 4: 4}[d])))
+        return TorusGeometry(d, draw(st.integers(3, {1: 9, 2: 9, 3: 6, 4: 4}[d])))
     if kind == "spread-out":
         d = draw(st.integers(1, 3))
-        return build_torus(d, draw(st.integers(3, 6)), "spread-out", L=1)
+        return TorusGeometry(d, draw(st.integers(3, 6)), "spread-out", L=1)
     d = draw(st.integers(1, 3))
     center = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
     return build_box(center, draw(st.integers(0, 2)), d,
@@ -33,55 +42,55 @@ def geometries(draw):
 
 class TestTorusConstruction:
     def test_small_nn_counts(self):
-        g = build_torus(2, 3)
+        g = TorusGeometry(2, 3)
         assert g.num_vertices == 9
         assert g.num_edges == 18          # d * r^d
 
     def test_d7_degree(self):
-        g = build_torus(7, 4)
+        g = TorusGeometry(7, 4)
         assert g.num_vertices == 4 ** 7
         eids, others = g.incident_edges(0)
         assert len(eids) == 14
         assert len(set(int(o) for o in others)) == 14
 
     def test_spread_out_degree(self):
-        g = build_torus(2, 5, "spread-out", L=1)
+        g = TorusGeometry(2, 5, "spread-out", L=1)
         assert len(g.neighbors(7)) == 8   # (2L+1)^d - 1
 
     @pytest.mark.parametrize("d,r", [(0, 5), (2, 2), (2, 1), (-1, 4)])
     def test_bad_parameters(self, d, r):
         with pytest.raises(GeometryError):
-            build_torus(d, r)
+            TorusGeometry(d, r)
 
     def test_spread_out_requires_room(self):
         with pytest.raises(GeometryError):
-            build_torus(2, 3, "spread-out", L=2)   # 2L+1 > r
+            TorusGeometry(2, 3, "spread-out", L=2)   # 2L+1 > r
 
     def test_overflow_rejected(self):
         with pytest.raises(GeometryError):
-            build_torus(40, 41)
+            TorusGeometry(40, 41)
 
     def test_index_roundtrip(self):
-        g = build_torus(3, 4)
+        g = TorusGeometry(3, 4)
         ids = np.arange(g.num_vertices)
         assert (g.vertex_index(g.vertex_coords(ids)) == ids).all()
 
     def test_degree_formula_everywhere(self):
         for model, L, want in [("nn", 1, 4), ("spread-out", 1, 8)]:
-            g = build_torus(2, 5, model, L)
+            g = TorusGeometry(2, 5, model, L)
             for v in range(g.num_vertices):
                 nbrs = g.neighbors(v)
                 assert len(nbrs) == want
                 assert v not in set(int(x) for x in nbrs)   # irreflexive
 
     def test_neighbor_symmetry(self):
-        g = build_torus(3, 3)
+        g = TorusGeometry(3, 3)
         for v in range(g.num_vertices):
             for w in g.neighbors(v):
                 assert v in set(int(x) for x in g.neighbors(int(w)))
 
     def test_edge_ids_total_order(self):
-        g = build_torus(2, 4)
+        g = TorusGeometry(2, 4)
         seen = {}
         for e in range(g.num_edges):
             u, v = g.edge_endpoints(e)
@@ -99,19 +108,44 @@ class TestEdgeEndpoints:
         ends = g.endpoints(np.arange(g.num_edges))
         assert ends.shape == (g.num_edges, 2)
         assert np.array_equal(g.edge_array(), ends)
-        if hasattr(g, "edge_base_rank"):     # box: ranks are stored, ids compacted
-            base_rank = [g.edge_base_rank(e) for e in range(g.num_edges)]
-            want = [(b, g.vertex_index(g.vertex_coords(b) + g.offsets[k]))
-                    for b, k in base_rank]
-            assert ends.tolist() == [list(w) for w in want]
-        else:
-            assert np.array_equal(ends, reference_edge_array(g))
+        assert np.array_equal(ends, reference_edge_array(g))
         if g.num_edges:
             eids = data.draw(st.lists(st.integers(0, g.num_edges - 1), max_size=20))
             assert np.array_equal(g.endpoints(eids).reshape(-1, 2), ends[eids])
             for e in eids:
                 assert g.edge_endpoints(e) == tuple(ends[e].tolist())
                 assert all(type(x) is int for x in g.edge_endpoints(e))
+
+
+class TestIncidentEdges:
+    @given(geometries())
+    @example(TorusGeometry(2, 3))                     # r=3: both digits wrap
+    @example(TorusGeometry(1, 3, "spread-out", L=1))
+    @example(TorusGeometry(2, 3, "spread-out", L=1))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_of_the_edge_array(self, g):
+        ref = reference_edge_array(g)
+        for v in range(g.num_vertices):
+            eids, others = g.incident_edges(v)
+            assert eids.dtype == others.dtype == np.int64
+            want = np.flatnonzero((ref == v).any(axis=1))
+            assert eids.tolist() == want.tolist()      # ascending ids
+            assert others.tolist() == [int(u + w - v) for u, w in ref[want]]
+            assert g.neighbors(v).tolist() == others.tolist()
+
+
+class TestVertexRange:
+    @pytest.mark.parametrize("v", [-1, 25])
+    def test_outside_vertex_ids_rejected(self, v):
+        g = TorusGeometry(2, 5)
+        cfg = sample_config(g, 0.6, 1)
+        for call in (lambda: g.incident_edges(v), lambda: component_of(cfg, v),
+                     lambda: intrinsic_ball(cfg, v, 3),
+                     lambda: vertex_in_long_cycle(cfg, v),
+                     lambda: depth_first_explore(cfg.instrumented(), v),
+                     lambda: build_box([0, 0], 2).incident_edges(v)):
+            with pytest.raises(GeometryError):
+                call()
 
 
 def displacement_rule(g, u, v):
@@ -214,7 +248,7 @@ class TestGetTorusCache:
 
 class TestDistances:
     def test_wraparound_1d(self):
-        g = build_torus(1, 8)
+        g = TorusGeometry(1, 8)
         x = g.vertex_index([0])
         y = g.vertex_index([6 - 8])     # the vertex labelled 6 wraps to -2
         assert torus_distance(g, x, y) == 2
