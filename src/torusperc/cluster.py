@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .lattice import bfs
+from .lattice import _vertex_id, bfs
 from .percolation import BondConfig
 
 
@@ -148,14 +148,15 @@ def intrinsic_ball(cfg: BondConfig, x: int, k: int) -> IntrinsicBall:
     """Exact BFS ball of radius k around x in the open graph."""
     if k < 0:
         raise ValueError(f"radius must be >= 0, got {k!r}")
-    return IntrinsicBall(int(x), k, bfs(int(x), cfg.open_incident, k)[0])
+    x = _vertex_id(cfg.geometry, x)
+    return IntrinsicBall(x, k, bfs(x, cfg.open_incident, k)[0])
 
 
 def connected_within(cfg: BondConfig, x: int, y: int, k: int) -> bool:
     """True iff y lies in the radius-k intrinsic ball of x."""
     if k < 0:
         raise ValueError(f"radius must be >= 0, got {k!r}")
-    x, y = int(x), int(y)
+    x, y = _vertex_id(cfg.geometry, x), _vertex_id(cfg.geometry, y)
     if x == y:
         return True
     return intrinsic_ball(cfg, x, k).contains(y)

@@ -6,14 +6,17 @@ figure-eight walks count).  A cycle is long when every one of its vertices has
 another cycle vertex at torus sup-distance at least floor(r/4).
 
 A cycle uses no bridge and is connected, so it lies inside one
-2-edge-connected block of its cluster: a component left once the bridges are
-deleted.  The vertex queries (`long_cycle_vertex_count`,
-`vertex_in_long_cycle`) split each cluster into its blocks and search one
-block at a time.  For floor(r/4) <= 1 every cycle is long, so the vertices on
-long cycles are exactly the block vertices; the general case runs budgeted
+2-edge-connected block of its cluster, and the blocks come from the chord
+cycles of one BFS spanning forest (`_blocks`).  The vertex count searches one
+block at a time, and every query for one long cycle runs block by block
+through `_long_cycle_in_block`: `vertex_in_long_cycle`, containment, the
+surgery's edge decisions and the minimum cut, which is the sum of the blocks'
+cuts.  For floor(r/4) <= 1 every cycle is long, so the vertices on long
+cycles are exactly the block vertices; the general case runs budgeted
 depth-first walk enumeration inside each block with sound pruning, returning
 a tri-state BudgetedAnswer whose No verdicts are exhaustive-search
-certificates.
+certificates.  The length-bounded and interior queries still search whole
+clusters.
 
 This module is the only one that branches on that threshold.  The surgery
 asks `edge_closes_long_cycle` for each stage-2 decision, passing the one
@@ -262,60 +265,56 @@ class OpenSubgraph:
         return _root_path(parent, b)
 
 
-def _bridges(sub: OpenSubgraph) -> set[int]:
-    """Bridge edges of the subgraph (iterative lowlink computation)."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    bridges: set[int] = set()
-    timer = 0
-    for s in sub.vertices:
-        if s in disc:
-            continue
-        disc[s] = low[s] = timer
-        timer += 1
-        stack = [(s, None, iter(sub.adj[s]))]
-        while stack:
-            v, pe, it = stack[-1]
-            descended = False
-            for eid, w in it:
-                if eid == pe:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, eid, iter(sub.adj[w])))
-                    descended = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if not descended:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        bridges.add(pe)
-    return bridges
+def _blocks(sub: OpenSubgraph) -> list[tuple[set[int], list[int]]]:
+    """Each 2-edge-connected block with an edge, as (vertex set, sorted edges),
+    in the order of their smallest edges.
 
-
-def _blocks(sub: OpenSubgraph):
-    """Each 2-edge-connected block with an edge, as (vertex set, sorted edges).
-
-    The blocks are the components left once the bridges are deleted.  An
+    The chord cycles of one BFS spanning forest span the cycle space, so an
+    edge lies on a cycle exactly when it is a chord or lies on a chord's
+    forest path, and the blocks are the chord cycles merged where they share
+    a vertex.  Each chord lifts the deeper of its two ends into its parent
+    until they meet, in a union-find whose sets are forest subtrees named by
+    their top vertex, so each forest edge is lifted once.  An
     edge-self-avoiding closed walk uses no bridge and is connected, so every
     cycle lies inside one block, and every block vertex lies on some cycle.
     """
-    bridges = _bridges(sub)
+    depth: dict[int, int] = {}
+    parent: dict[int, tuple[int | None, int | None]] = {}
+    for s in sub.vertices:
+        if s not in depth:
+            dist, tree = bfs(s, sub.adj.__getitem__)
+            depth.update(dist)
+            parent.update(tree)
+    up: dict[int, int] = {}         # lifted vertex -> a higher vertex of its set
 
-    def step(v):
-        return [(e, w) for e, w in sub.adj[v] if e not in bridges]
+    def top(v: int) -> int:
+        t = v
+        while t in up:
+            t = up[t]
+        while v != t:
+            up[v], v = t, up[v]
+        return t
 
-    done = set(bridges)
-    for e in sub.edge_ids:
-        if e not in done:
-            verts = set(bfs(sub.geometry.edge_endpoints(e)[0], step)[0])
-            edges = sorted({f for v in verts for f, _ in step(v)})
-            done.update(edges)
-            yield verts, edges
+    tree_edges = {e for _, e in parent.values()}
+    chords = [e for e in sub.edge_ids if e not in tree_edges]
+    ends = sub.geometry.endpoints(chords).tolist()
+    for u, v in ends:
+        u, v = top(u), top(v)
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            up[u] = parent[u][0]
+            u = top(u)
+    blocks: dict[int, tuple[set[int], list[int]]] = {}
+    for v in list(up):
+        t = top(v)
+        verts, edges = blocks.setdefault(t, ({t}, []))
+        verts.add(v)
+        edges.append(parent[v][1])
+    for e, (u, _) in zip(chords, ends):
+        blocks[top(u)][1].append(e)
+    return sorted(((verts, sorted(edges)) for verts, edges in blocks.values()),
+                  key=lambda block: block[1][0])
 
 
 def _lift_forest(sub: OpenSubgraph, budget: WorkBudget):
@@ -477,12 +476,15 @@ def _feasible_vertices(sub: OpenSubgraph, t: int, budget: WorkBudget) -> set[int
     return {v for v, far in zip(verts, _sup_reach(sub.geometry, verts)) if far >= t}
 
 
-def _shortest_cycle_through(sub: OpenSubgraph, x: int,
-                            budget: WorkBudget) -> CycleWitness | None:
-    """Shortest edge-simple cycle through x, by per-incident-edge BFS."""
+def _shortest_cycle_through(sub: OpenSubgraph, x: int, budget: WorkBudget,
+                            through: int | None = None) -> CycleWitness | None:
+    """Shortest edge-simple cycle through x, by per-incident-edge BFS; with
+    `through`, only cycles that leave x along that edge count."""
     g = sub.geometry
     best: list[int] | None = None
     for e, a in sub.adj.get(int(x), ()):
+        if through is not None and e != through:
+            continue
         budget.charge(len(sub.edge_ids))
         path = sub.path_between(a, int(x), forbidden=(e,))
         if path is not None and (best is None or len(path) + 1 < len(best)):
@@ -494,40 +496,50 @@ def _shortest_cycle_through(sub: OpenSubgraph, x: int,
 # subgraph-level searches
 
 
-def _subgraph_contains_long_cycle(sub: OpenSubgraph, budget: WorkBudget) -> BudgetedAnswer:
-    g = sub.geometry
-    t = long_cycle_threshold(g)
-    budget.charge()
-    if sub.cycle_space_dim() == 0:
-        return BudgetedAnswer(NO, work=budget.spent, budget=budget.limit)
+def _long_cycle_in_block(block: OpenSubgraph, budget: WorkBudget,
+                         x: int | None = None, e: int | None = None) -> CycleWitness | None:
+    """A long cycle of one block, through vertex x or edge e when one is given;
+    None once the search has ruled one out.
+
+    Every query for one long cycle runs here, so this holds the one threshold
+    shortcut for that question: when every cycle is long, the answer is the
+    shortest cycle through x, through e, or through the block's first vertex.
+    Otherwise the feasibility prune runs first, then the lift's wrapping cycle
+    is tried, then the walk search: from x, from an endpoint of e, or from
+    each feasible vertex in turn over the vertices above it, so that every
+    cycle is met from its smallest vertex.
+    """
+    g = block.geometry
+    if e is not None:
+        ends = list(g.edge_endpoints(e))
+    else:
+        ends = [] if x is None else [x]
     if _all_cycles_long(g):
-        budget.charge(sub.num_edges)
-        witness = _any_cycle_witness(sub, budget)
-        witness.validate(g)
-        return BudgetedAnswer(YES, witness=witness, work=budget.spent, budget=budget.limit)
-    feasible = _feasible_vertices(sub, t, budget)
-    if not feasible:
-        return BudgetedAnswer(NO, work=budget.spent, budget=budget.limit)
-    wrap = _wrap_cycle_witness(sub, budget)
-    if wrap is not None and wrap.long:
-        return BudgetedAnswer(YES, witness=wrap, work=budget.spent, budget=budget.limit)
-    for s in sorted(feasible):
-        found = _first_long_walk(sub, s, budget, min_vertex=s, feasible=feasible)
+        start = ends[0] if ends else block.vertices[0]
+        return _shortest_cycle_through(block, start, budget, through=e)
+    feasible = _feasible_vertices(block, long_cycle_threshold(g), budget)
+    if not feasible or not feasible.issuperset(ends):
+        return None
+    wrap = _wrap_cycle_witness(block, budget)
+    if (wrap is not None and wrap.long and (x is None or x in wrap.vertices)
+            and (e is None or e in wrap.edges)):
+        return wrap
+    for s in ends[:1] or sorted(feasible):
+        found = _first_long_walk(block, s, budget, through=e, feasible=feasible,
+                                 min_vertex=None if ends else s)
         if found is not None:
-            return BudgetedAnswer(YES, witness=found,
-                                  work=budget.spent, budget=budget.limit)
+            return found
+    return None
+
+
+def _subgraph_contains_long_cycle(sub: OpenSubgraph, budget: WorkBudget) -> BudgetedAnswer:
+    """Does the subgraph hold a long cycle?  Its blocks are searched in turn."""
+    budget.charge(max(1, sub.num_edges))
+    for _, edges in _blocks(sub):
+        found = _long_cycle_in_block(OpenSubgraph(sub.geometry, edges), budget)
+        if found is not None:
+            return BudgetedAnswer(YES, witness=found, work=budget.spent, budget=budget.limit)
     return BudgetedAnswer(NO, work=budget.spent, budget=budget.limit)
-
-
-def _any_cycle_witness(sub: OpenSubgraph, budget: WorkBudget) -> CycleWitness:
-    """Some simple cycle of a subgraph with positive cycle-space dimension."""
-    _, parent, tree_edges = _lift_forest(sub, budget)
-    for e in sub.edge_ids:
-        if e in tree_edges:
-            continue
-        u, v = sub.geometry.edge_endpoints(e)
-        return CycleWitness.from_vertices(sub.geometry, _chord_cycle(parent, u, v))
-    raise AssertionError("cycle space positive but no chord found")
 
 
 def _min_long_cycle_through(sub: OpenSubgraph, x: int, budget: WorkBudget,
@@ -576,7 +588,6 @@ def vertex_in_long_cycle(cfg: BondConfig, x: int,
     block is searched.
     """
     g = cfg.geometry
-    t = long_cycle_threshold(g)
     b = WorkBudget(budget)
     x = int(x)
     try:
@@ -587,24 +598,11 @@ def vertex_in_long_cycle(cfg: BondConfig, x: int,
         b.charge(len(cl.edges))
         block = next((edges for verts, edges in _blocks(OpenSubgraph.from_cluster(cfg, cl))
                       if x in verts), None)
-        if block is None:
+        found = None if block is None else _long_cycle_in_block(OpenSubgraph(g, block), b, x=x)
+        if found is None:
             return BudgetedAnswer(NO, work=b.spent, budget=budget)
-        sub = OpenSubgraph(g, block)
-        if _all_cycles_long(g):
-            witness = _shortest_cycle_through(sub, x, b)
-            witness.validate(g, cfg)
-            return BudgetedAnswer(YES, witness=witness, work=b.spent, budget=budget)
-        feasible = _feasible_vertices(sub, t, b)
-        if x not in feasible:
-            return BudgetedAnswer(NO, work=b.spent, budget=budget)
-        wrap = _wrap_cycle_witness(sub, b)
-        if wrap is not None and wrap.long and x in wrap.vertices:
-            return BudgetedAnswer(YES, witness=wrap, work=b.spent, budget=budget)
-        found = _first_long_walk(sub, x, b, feasible=feasible)
-        if found is not None:
-            found.validate(g, cfg)
-            return BudgetedAnswer(YES, witness=found, work=b.spent, budget=budget)
-        return BudgetedAnswer(NO, work=b.spent, budget=budget)
+        found.validate(g, cfg)
+        return BudgetedAnswer(YES, witness=found, work=b.spent, budget=budget)
     except BudgetExhausted:
         return BudgetedAnswer(UNKNOWN, work=b.spent, budget=budget)
 
@@ -740,9 +738,10 @@ def min_long_cycle_cut(cfg: BondConfig, cl: "_cluster.Cluster",
                        special_edge_count: int | None = None) -> BudgetedAnswer:
     """Smallest number of edges whose removal leaves the cluster long-cycle-free.
 
-    Exact value rides on verdict Yes.  Bridges never help, so candidates are
-    restricted to edges on some cycle; the cycle-space dimension (and, when
-    supplied, the surgery module's special-edge count) caps the answer.
+    Exact value rides on verdict Yes.  A long cycle lies in one
+    2-edge-connected block, so the cut is the sum of the blocks' cuts, from one
+    split of the cluster.  The cycle-space dimension (and, when supplied, the
+    surgery module's special-edge count) caps the answer.
     """
     g = cfg.geometry
     b = WorkBudget(budget)
@@ -750,30 +749,26 @@ def min_long_cycle_cut(cfg: BondConfig, cl: "_cluster.Cluster",
     s = sub.cycle_space_dim()
     ub = s if special_edge_count is None else min(s, special_edge_count)
     try:
-        if s == 0:
-            return BudgetedAnswer(YES, value=0, upper_bound=ub,
-                                  work=b.spent, budget=budget)
+        b.charge(sub.num_edges)
         if _all_cycles_long(g):
             # every cycle is long, so the cut must break all cycles: exactly
             # the cycle-space dimension (remove the chords of a spanning forest)
-            b.charge(sub.num_edges)
-            return BudgetedAnswer(YES, value=s, upper_bound=ub,
-                                  work=b.spent, budget=budget)
-        first = _subgraph_contains_long_cycle(sub, b)
-        if first.is_no:
-            return BudgetedAnswer(YES, value=0, upper_bound=ub,
-                                  work=b.spent, budget=budget)
-        candidates = sorted(e for _, edges in _blocks(sub) for e in edges)
-        for k in range(1, ub + 1):
-            for subset in itertools.combinations(candidates, k):
-                b.charge()
-                check = _subgraph_contains_long_cycle(sub.without(subset), b)
-                if check.is_no:
-                    return BudgetedAnswer(YES, value=k, upper_bound=ub,
-                                          work=b.spent, budget=budget)
-        raise AssertionError("removing all non-bridge edges must kill every cycle")
+            value = s
+        else:
+            value = sum(_block_cut(OpenSubgraph(g, edges), b) for _, edges in _blocks(sub))
+        return BudgetedAnswer(YES, value=value, upper_bound=ub, work=b.spent, budget=budget)
     except BudgetExhausted:
         return BudgetedAnswer(UNKNOWN, upper_bound=ub, work=b.spent, budget=budget)
+
+
+def _block_cut(block: OpenSubgraph, budget: WorkBudget) -> int:
+    """Fewest edges of a block whose removal leaves it no long cycle, by trying
+    its edge subsets in order of size; all its edges always suffice."""
+    for k in itertools.count():
+        for subset in itertools.combinations(block.edge_ids, k):
+            budget.charge()
+            if _long_cycle_in_block(block.without(subset), budget) is None:
+                return k
 
 
 def cut_sums(cfg: BondConfig, thresholds,
@@ -804,31 +799,28 @@ def edge_closes_long_cycle(graph: OpenSubgraph, e: int,
                            witness: bool = True) -> BudgetedAnswer:
     """Does adding edge e to a long-cycle-free open graph create a long cycle?
 
-    Every such cycle traverses e.  When every cycle is long the graph is a
-    forest, so e closes one exactly when a forest path joins its endpoints;
-    the certificate is that path closed by e, built only with `witness`.
-    Otherwise a budgeted walk search over a copy of the graph plus e runs
-    from one endpoint of e, only closures through e count, and a Yes always
-    carries its witness.  The graph itself is left unchanged.
+    Every such cycle traverses e, so there is none unless a path of the graph
+    joins e's endpoints, and it lies in the block of the graph plus e that
+    holds e.  When every cycle is long the graph is a forest, so that path
+    closed by e is the certificate, built only with `witness`.  Otherwise only
+    that block is searched, and a Yes always carries its witness.  The graph
+    itself is left unchanged.
     """
     g = graph.geometry
     b = WorkBudget(budget)
     u, v = g.edge_endpoints(e)
     try:
+        path = graph.path_between(u, v)
+        if path is None:
+            return BudgetedAnswer(NO, work=b.spent, budget=budget)
         if _all_cycles_long(g):
-            path = graph.path_between(u, v)
-            if path is None:
-                return BudgetedAnswer(NO, work=b.spent, budget=budget)
             b.charge(len(path))
             cert = CycleWitness.from_vertices(g, path + [u]) if witness else None
             return BudgetedAnswer(YES, witness=cert, work=b.spent, budget=budget)
-        sub = OpenSubgraph(g, [*graph.edge_ids, e])
-        feasible = _feasible_vertices(sub, long_cycle_threshold(g), b)
-        found = None
-        if u in feasible and v in feasible:
-            found = _wrap_cycle_witness(sub, b)
-            if found is None or not (found.long and e in found.edges):
-                found = _first_long_walk(sub, u, b, through=e, feasible=feasible)
+        plus = OpenSubgraph(g, [*graph.edge_ids, e])
+        b.charge(plus.num_edges)
+        block = next(edges for _, edges in _blocks(plus) if e in edges)
+        found = _long_cycle_in_block(OpenSubgraph(g, block), b, e=e)
         return BudgetedAnswer(NO if found is None else YES, witness=found,
                               work=b.spent, budget=budget)
     except BudgetExhausted:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import cluster as _cluster
 from . import cycles as _cycles
-from .lattice import NEAREST_NEIGHBOR, get_torus
+from .lattice import NEAREST_NEIGHBOR, bfs, get_torus
 from .percolation import derive_seed, pc_reference, replica_rng, sample_config
 
 # seed-stream tags, one per quantity
@@ -473,42 +473,27 @@ class _HashedBox:
         self.side = 2 * n + 1
         self.threshold = int(p * 2.0 ** 64)
         self.seed = seed & _MASK64
+        self._axis_hash = [_splitmix64(self.seed ^ (axis + 1)) for axis in range(d)]
 
     def edge_open(self, base: tuple, axis: int) -> bool:
-        h = self.seed
-        h = _splitmix64(h ^ (axis + 1))
+        h = self._axis_hash[axis]
         for c in base:
             h = _splitmix64(h ^ ((c + self.n) & _MASK64))
         return h < self.threshold
 
-    def explore(self, max_vertices: int | None = None) -> dict[tuple, int]:
+    def explore(self) -> dict[tuple, int]:
         """BFS cluster of the origin; returns coords -> intrinsic distance."""
-        origin = (0,) * self.d
-        dist = {origin: 0}
-        frontier = [origin]
-        depth = 0
         n = self.n
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for axis in range(self.d):
-                    for sign in (1, -1):
-                        w = list(v)
-                        w[axis] += sign
-                        if not -n <= w[axis] <= n:
-                            continue
-                        w = tuple(w)
-                        if w in dist:
-                            continue
-                        base = v if sign > 0 else w
-                        if self.edge_open(base, axis):
-                            dist[w] = depth + 1
-                            nxt.append(w)
-                            if max_vertices is not None and len(dist) > max_vertices:
-                                return dist
-            depth += 1
-            frontier = nxt
-        return dist
+
+        def step(v):
+            for axis in range(self.d):
+                for sign in (1, -1):
+                    if -n <= v[axis] + sign <= n:
+                        w = v[:axis] + (v[axis] + sign,) + v[axis + 1:]
+                        if self.edge_open(v if sign > 0 else w, axis):
+                            yield None, w
+
+        return bfs((0,) * self.d, step)[0]
 
 
 def _ball_worker(args):

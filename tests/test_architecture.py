@@ -1,7 +1,7 @@
 """Module boundaries, checked on the source: only `cycles` knows the
 long-cycle threshold, its private names stay inside it, its per-edge-step
-kernels never go through coordinates, and only its block split computes
-bridges."""
+kernels never go through coordinates, its long-cycle searches run block by
+block, and the hashed box traverses through the shared BFS."""
 import ast
 from pathlib import Path
 
@@ -72,11 +72,31 @@ def test_cycle_kernels_take_no_coordinates():
         assert not calls & {"displacement", "vertex_coords", "centered_mod"}, name
 
 
+#: The queries for long cycles that split a cluster and search block by block.
+BLOCK_SEARCHES = {"vertex_in_long_cycle", "long_cycle_vertex_count",
+                  "_subgraph_contains_long_cycle", "min_long_cycle_cut",
+                  "edge_closes_long_cycle"}
+
+
+def _callers(tree, name):
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(c, ast.Call) and _called(c) == name for c in ast.walk(node))}
+
+
 def test_blocks_alone_compute_bridges():
-    callers = {node.name for node in ast.walk(_tree("cycles.py"))
-               if isinstance(node, ast.FunctionDef)
-               and any(isinstance(c, ast.Call) and _called(c) == "_bridges"
-                       for c in ast.walk(node))}
-    assert callers == {"_blocks"}
-    assert all("_cycle_vertices_exact" not in _identifiers(_tree(path.name))
-               for path in PACKAGE.glob("*.py"))
+    # no module computes bridges; the block searches take their blocks from
+    # `_blocks` and search each one through the one per-block routine
+    for path in PACKAGE.glob("*.py"):
+        names = set(_identifiers(_tree(path.name)))
+        assert not names & {"_bridges", "_cycle_vertices_exact", "_any_cycle_witness"}, path.name
+    tree = _tree("cycles.py")
+    assert _callers(tree, "_blocks") == BLOCK_SEARCHES
+    assert _callers(tree, "_long_cycle_in_block") <= BLOCK_SEARCHES | {"_block_cut"}
+
+
+def test_hashed_box_traverses_only_through_bfs():
+    (box,) = [node for node in ast.walk(_tree("estimators.py"))
+              if isinstance(node, ast.ClassDef) and node.name == "_HashedBox"]
+    assert "bfs" in {_called(c) for c in ast.walk(box) if isinstance(c, ast.Call)}
+    assert not any(isinstance(node, ast.While) for node in ast.walk(box))

@@ -9,7 +9,7 @@ from torusperc import estimators as est
 from torusperc import oracle
 from torusperc.cluster import all_components, component_of
 from torusperc.cycles import (MalformedCycleError, OpenSubgraph, WorkBudget,
-                              _blocks, _feasible_vertices,
+                              _blocks, _feasible_vertices, _long_cycle_in_block,
                               cluster_contains_long_cycle, cut_sums, cycle_radius,
                               has_wrapping_cluster, is_long_cycle,
                               long_cycle_interior, long_cycle_threshold,
@@ -181,6 +181,26 @@ class TestBlocks:
             assert block.component_count() == 1
             assert all(_components_keeping_vertices(block, [e]) == 1 for e in block_edges)
 
+    @pytest.mark.parametrize("r", [4, 8])
+    def test_block_search_goes_through_the_asked_vertex_or_edge(self, r):
+        # two wrapping rows joined by two rungs r/2 apart: one block in which
+        # every vertex and edge lies on a long cycle, at threshold 1 (r=4)
+        # and threshold 2 (r=8)
+        g = get_torus(2, r)
+        rows = [[(x, y) for x in range(r)] for y in (0, 1)]
+        edges = [edge_of(g, row[i], row[(i + 1) % r]) for row in rows for i in range(r)]
+        edges += [edge_of(g, (0, 0), (0, 1)), edge_of(g, (r // 2, 0), (r // 2, 1))]
+        ((verts, block_edges),) = _blocks(OpenSubgraph(g, edges))
+        block = OpenSubgraph(g, block_edges)
+        for x in verts:
+            w = _long_cycle_in_block(block, WorkBudget(10**6), x=x)
+            w.validate(g)
+            assert w.long and x in w.vertices
+        for e in block_edges:
+            w = _long_cycle_in_block(block, WorkBudget(10**6), e=e)
+            w.validate(g)
+            assert w.long and e in w.edges
+
 
 class TestOpenSubgraphAdd:
     @given(open_edge_sets(), st.randoms(use_true_random=False), st.integers(0, 10))
@@ -273,6 +293,7 @@ class TestBudgetedSearches:
         edges += [edge_of(g, (0, 0), (0, 1)), edge_of(g, (0, 1), (0, 2))]
         cfg = config_from_edges(g, edges)
         assert long_cycle_vertex_count(cfg) == (2 * r, False)
+        assert min_long_cycle_cut(cfg, component_of(cfg, vid(g, 0, 1))).value == 2
         assert vertex_in_long_cycle(cfg, vid(g, 0, 1)).is_no
         assert vertex_in_long_cycle(cfg, vid(g, 3, 2)).is_yes
 
@@ -480,10 +501,11 @@ class TestCutSums:
     def test_none_when_a_cut_is_unknown(self, g28):
         cfg = sample_config(g28, 0.45, derive_seed(461, 2))
         (cl,) = [cl for cl in all_components(cfg) if cl.surplus > 0]
-        assert min_long_cycle_cut(cfg, cl, budget=200).is_unknown
-        assert cut_sums(cfg, [0.0, 50.0], budget=200) is None
+        # the per-block cut of this cluster ends at work 155
+        assert min_long_cycle_cut(cfg, cl, budget=100).is_unknown
+        assert cut_sums(cfg, [0.0, 50.0], budget=100) is None
         # clusters at or below every threshold are never searched
-        assert cut_sums(cfg, [float(cl.size)], budget=200) == [0]
+        assert cut_sums(cfg, [float(cl.size)], budget=100) == [0]
 
     @pytest.mark.parametrize("budget", [600, 1500, 10**6])
     def test_rows_independent_of_delta_order(self, budget):

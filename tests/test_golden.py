@@ -77,7 +77,7 @@ DIGESTS = {
     "ball-boundary":
         "ffb9f00e643f89da1062bf9eef572e2c87314d10465071c713fd38bffeed395b",
     "budgeted-answers":
-        "cea47c3ffc6b8df40d1cc708dbdec15988a222caa85b3a1047e77aa480e6b5ae",
+        "5b95f5d96cc7f5affdb9bfc171f1349b7519d0cf57cd450170a36d9b37b5bf91",
     "cluster-size":
         "85df8ef400c5fb8aa491e24da429fe421fa2f36ee23c20f7e723a64d15f7579d",
     "couple-d2-r5":
@@ -89,7 +89,7 @@ DIGESTS = {
     "cycle-length":
         "73691700e8d4f08d6d5697d93cf3b2e51cfb14cc69ba976928cf53ed237b49c2",
     "explore-d2-r8":
-        "2ad7172d8aa5b68877603cd094beb9fd8e9231590325fe7a52f66b30239722d8",
+        "6af3b4deafefd44960e98c535c3af00eee3c7dfc4955b992aef1ad96d150c7cf",
     "explore-d3-r5":
         "6eecf0db7d087895df9fa179f18e38535608757d457f03a7622454e29545849f",
     "long-cycle-tail":

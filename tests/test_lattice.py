@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torusperc.cluster import component_of, intrinsic_ball
+from torusperc.cluster import component_of, connected_within, intrinsic_ball
 from torusperc.cycles import vertex_in_long_cycle
 from torusperc.lattice import (GeometryError, TorusGeometry, build_box,
                                canonical_rep, centered_mod, get_torus,
@@ -140,7 +140,8 @@ class TestVertexRange:
         g = TorusGeometry(2, 5)
         cfg = sample_config(g, 0.6, 1)
         for call in (lambda: g.incident_edges(v), lambda: component_of(cfg, v),
-                     lambda: intrinsic_ball(cfg, v, 3),
+                     lambda: intrinsic_ball(cfg, v, 3), lambda: intrinsic_ball(cfg, v, 0),
+                     lambda: connected_within(cfg, v, v, 3),
                      lambda: vertex_in_long_cycle(cfg, v),
                      lambda: depth_first_explore(cfg.instrumented(), v),
                      lambda: build_box([0, 0], 2).incident_edges(v)):

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusperc import oracle, surgery
+from torusperc import cycles, oracle, surgery
 from torusperc.cluster import all_components, component_map
 from torusperc.cycles import (OpenSubgraph, WorkBudget,
                               _subgraph_contains_long_cycle, long_cycle_threshold)
 from torusperc.lattice import get_torus
-from torusperc.percolation import BondConfig, derive_seed, sample_config
+from torusperc.percolation import BondConfig, derive_seed, pc_reference, sample_config
 
 from conftest import config_from_edges, edge_of, wrap_line_edges
 
@@ -320,3 +320,45 @@ class TestDecisionRegimes:
                 decided += len(res.probed_edges) + len(res.special_edges)
             assert runs[0] == runs[1]
         assert decided > 20
+
+
+class TestThresholdTwoDecisions:
+    @pytest.mark.parametrize("p", [0.4, 0.5])
+    def test_decisions_and_kill_switch_match_oracle(self, monkeypatch, p):
+        # d=2, r=8 (threshold 2): each stage-2 decision searches only the
+        # block of G+e that holds e; its verdict must be the enumeration's,
+        # and the final graph must carry no long cycle
+        g = get_torus(2, 8)
+        decide = cycles.edge_closes_long_cycle
+        calls = []
+
+        def spy(graph, e, *args, **kwargs):
+            ans = decide(graph, e, *args, **kwargs)
+            calls.append((list(graph.edge_ids), e, ans))
+            return ans
+
+        monkeypatch.setattr(cycles, "edge_closes_long_cycle", spy)
+        for s in range(20):
+            cfg = sample_config(g, p, derive_seed(77, 2, 8, s))
+            res = surgery.explore_cluster(cfg.instrumented(), _largest_cluster_root(cfg))
+            assert res.valid
+            final = oracle.enumerate_all_cycles(OpenSubgraph(g, res.graph_edges), override=True)
+            assert not any(c.long for c in final), s
+        yes = 0
+        for edges, e, ans in calls:
+            plus = OpenSubgraph(g, edges + [e])
+            want = any(c.long and e in c.edges
+                       for c in oracle.enumerate_all_cycles(plus, override=True))
+            assert ans.verdict == ("yes" if want else "no")
+            if want:
+                ans.witness.validate(g)
+                assert ans.witness.long and e in ans.witness.edges
+                yes += 1
+        assert len(calls) > 90 and yes > 15
+
+    def test_critical_d4_r8_exploration_is_valid(self):
+        # 1362 vertices, surplus 35: a decision that searched the whole
+        # cluster would exhaust the default budget, e's block does not
+        cfg = sample_config(get_torus(4, 8), pc_reference(4).p_c, derive_seed(6, 0))
+        res = surgery.explore_cluster(cfg.instrumented(), _largest_cluster_root(cfg))
+        assert res.valid
