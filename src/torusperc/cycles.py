@@ -7,16 +7,21 @@ another cycle vertex at torus sup-distance at least floor(r/4).
 
 A cycle uses no bridge and is connected, so it lies inside one
 2-edge-connected block of its cluster, and the blocks come from the chord
-cycles of one BFS spanning forest (`_blocks`).  The vertex count searches one
-block at a time, and every query for one long cycle runs block by block
-through `_long_cycle_in_block`: `vertex_in_long_cycle`, containment, the
-surgery's edge decisions and the minimum cut, which is the sum of the blocks'
-cuts.  For floor(r/4) <= 1 every cycle is long, so the vertices on long
-cycles are exactly the block vertices; the general case runs budgeted
-depth-first walk enumeration inside each block with sound pruning, returning
-a tri-state BudgetedAnswer whose No verdicts are exhaustive-search
-certificates.  The length-bounded and interior queries still search whole
-clusters.
+cycles of one BFS spanning forest (`_blocks`).  Every search runs on one
+block.  The vertex count, the vertex query, containment, the surgery's edge
+decisions and the minimum cut (the sum of the blocks' cuts) find their
+cycles through `_long_cycle_in_block`; the length-bounded query runs its own
+walk search on x's block, and the interior set on each block from the block
+vertex nearest the root.  For
+floor(r/4) <= 1 every cycle is long, so the vertices on long cycles are
+exactly the block vertices.  Otherwise, with t = floor(r/4), a block vertex
+whose reach inside its block is below t is on no long cycle, and one whose
+reach is at least 2t is on one: two edge-disjoint paths join x to a block
+vertex y at distance >= 2t (Menger), and every vertex of the closed walk they
+form is at distance >= t from x or from y.  The rest runs budgeted
+depth-first walk enumeration inside the block with sound pruning, returning a
+tri-state BudgetedAnswer whose No verdicts are exhaustive-search
+certificates.
 
 This module is the only one that branches on that threshold.  The surgery
 asks `edge_closes_long_cycle` for each stage-2 decision, passing the one
@@ -243,9 +248,6 @@ class OpenSubgraph:
                 n += 1
                 seen.update(bfs(s, self.adj.__getitem__)[0])
         return n
-
-    def cycle_space_dim(self) -> int:
-        return self.num_edges - len(self.vertices) + self.component_count()
 
     def path_between(self, a: int, b: int, forbidden=()) -> list[int] | None:
         """Shortest vertex path a..b over edges not in `forbidden`, or None."""
@@ -542,24 +544,22 @@ def _subgraph_contains_long_cycle(sub: OpenSubgraph, budget: WorkBudget) -> Budg
     return BudgetedAnswer(NO, work=budget.spent, budget=budget.limit)
 
 
-def _min_long_cycle_through(sub: OpenSubgraph, x: int, budget: WorkBudget,
+def _min_long_cycle_through(block: OpenSubgraph, x: int, budget: WorkBudget,
                             length_cap: int | None = None) -> CycleWitness | None:
-    """A minimum-length long cycle through x (None if none within the cap)."""
-    g = sub.geometry
+    """A minimum-length long cycle through x in x's block (None if none within
+    the cap)."""
+    g = block.geometry
     t = long_cycle_threshold(g)
-    x = int(x)
     budget.charge()
-    if x not in sub.adj or not sub.adj[x]:
-        return None
     if _all_cycles_long(g):
-        w = _shortest_cycle_through(sub, x, budget)
+        w = _shortest_cycle_through(block, x, budget)
         if w is None or (length_cap is not None and w.length > length_cap):
             return None
         return w
-    feasible = _feasible_vertices(sub, t, budget)
+    feasible = _feasible_vertices(block, t, budget)
     if x not in feasible:
         return None
-    dist, _ = bfs(x, sub.adj.__getitem__)
+    dist, _ = bfs(x, block.adj.__getitem__)
     cap = [length_cap]
     best: list[CycleWitness | None] = [None]
 
@@ -571,7 +571,7 @@ def _min_long_cycle_through(sub: OpenSubgraph, x: int, budget: WorkBudget,
                 cap[0] = w.length - 1
         return False
 
-    _closed_walk_search(sub, x, budget, note, feasible=feasible,
+    _closed_walk_search(block, x, budget, note, feasible=feasible,
                         dist_to_x=dist, cap=cap)
     return best[0]
 
@@ -580,25 +580,32 @@ def _min_long_cycle_through(sub: OpenSubgraph, x: int, budget: WorkBudget,
 # public operations on configs
 
 
+def _block_of(cfg: BondConfig, x: int, budget: WorkBudget) -> OpenSubgraph | None:
+    """The 2-edge-connected block that holds x, or None when x is on no cycle.
+
+    Every cycle through x lies in that block, so the queries about cycles
+    through x search only it.
+    """
+    cl = _cluster.component_of(cfg, x)
+    budget.charge(max(1, len(cl.edges)))
+    if cl.surplus == 0:
+        return None
+    budget.charge(len(cl.edges))
+    edges = next((edges for verts, edges in _blocks(OpenSubgraph.from_cluster(cfg, cl))
+                  if x in verts), None)
+    return None if edges is None else OpenSubgraph(cfg.geometry, edges)
+
+
 def vertex_in_long_cycle(cfg: BondConfig, x: int,
                          budget: int = DEFAULT_BUDGET) -> BudgetedAnswer:
-    """Is x on an open long cycle?  Tri-state with witness and certificates.
-
-    Every cycle through x lies in x's 2-edge-connected block, so only that
-    block is searched.
-    """
+    """Is x on an open long cycle?  Tri-state with witness and certificates;
+    only x's block is searched."""
     g = cfg.geometry
     b = WorkBudget(budget)
     x = int(x)
     try:
-        cl = _cluster.component_of(cfg, x)
-        b.charge(max(1, len(cl.edges)))
-        if cl.surplus == 0:
-            return BudgetedAnswer(NO, work=b.spent, budget=budget)
-        b.charge(len(cl.edges))
-        block = next((edges for verts, edges in _blocks(OpenSubgraph.from_cluster(cfg, cl))
-                      if x in verts), None)
-        found = None if block is None else _long_cycle_in_block(OpenSubgraph(g, block), b, x=x)
+        block = _block_of(cfg, x, b)
+        found = None if block is None else _long_cycle_in_block(block, b, x=x)
         if found is None:
             return BudgetedAnswer(NO, work=b.spent, budget=budget)
         found.validate(g, cfg)
@@ -623,20 +630,19 @@ def long_cycle_vertex_count(cfg: BondConfig,
     """Number of vertices with a definite Yes; flag set if any query was Unknown.
 
     The budget applies per cluster, and each of its 2-edge-connected blocks is
-    searched on its own.  Trees, and blocks whose vertex set is too
-    concentrated to host a long cycle, are skipped outright.
+    decided on its own from the reach of its vertices inside the block, with
+    t = floor(r/4).  When every cycle is long, every block vertex counts.
+    Otherwise a vertex of reach below t is on no long cycle, one of reach at
+    least 2t is on one, and only the vertices between are searched, each one
+    not yet met on a witness.  Trees are skipped outright.
     """
     g = cfg.geometry
     t = long_cycle_threshold(g)
     count = 0
     any_unknown = False
-    if cfg.read_log is None:
-        cm = _cluster.component_map(cfg)
-        candidates = np.flatnonzero(cm.surplus >= 1)
-        clusters = (cm.cluster(int(lab)) for lab in candidates)
-    else:
-        clusters = (cl for cl in _instrumented_components(cfg) if cl.surplus >= 1)
-    for cl in clusters:
+    cm = _cluster.component_map(cfg)
+    for lab in np.flatnonzero(cm.surplus >= 1):
+        cl = cm.cluster(int(lab))
         b = WorkBudget(budget)
         try:
             b.charge(max(1, len(cl.edges)))
@@ -645,39 +651,19 @@ def long_cycle_vertex_count(cfg: BondConfig,
                 count += sum(len(verts) for verts, _ in blocks)
                 continue
             for _, edges in blocks:
-                sub = OpenSubgraph(g, edges)
-                feasible = _feasible_vertices(sub, t, b)
-                if feasible:
-                    count += len(_long_cycle_vertices_general(sub, feasible, b))
+                block = OpenSubgraph(g, edges)
+                b.charge(len(block.vertices))
+                reach = dict(zip(block.vertices, _sup_reach(g, block.vertices)))
+                yes = {x for x, far in reach.items() if far >= 2 * t}
+                for x, far in reach.items():
+                    if far >= t and x not in yes:
+                        found = _long_cycle_in_block(block, b, x=x)
+                        if found is not None:
+                            yes.update(found.vertices)
+                count += len(yes)
         except BudgetExhausted:
             any_unknown = True
     return count, any_unknown
-
-
-def _instrumented_components(cfg: BondConfig):
-    """Cluster iteration that respects the read log (no bulk mask access)."""
-    seen: set[int] = set()
-    for v in range(cfg.geometry.num_vertices):
-        if v in seen:
-            continue
-        cl = _cluster.component_of(cfg, v)
-        seen.update(int(u) for u in cl.vertices)
-        yield cl
-
-
-def _long_cycle_vertices_general(sub: OpenSubgraph, feasible: set[int],
-                                 b: WorkBudget) -> set[int]:
-    yes: set[int] = set()
-    wrap = _wrap_cycle_witness(sub, b)
-    if wrap is not None and wrap.long:
-        yes.update(wrap.vertices)
-    for x in sorted(feasible):
-        if x in yes:
-            continue
-        found = _first_long_walk(sub, x, b, feasible=feasible)
-        if found is not None:
-            yes.update(found.vertices)
-    return yes
 
 
 def longest_long_fundamental_cycle(cfg: BondConfig, budget: int = DEFAULT_BUDGET) -> int:
@@ -719,12 +705,10 @@ def shortest_long_cycle_through(cfg: BondConfig, x: int, k: int,
     if k < min_len:
         return BudgetedAnswer(NO, work=1, budget=budget)
     try:
-        cl = _cluster.component_of(cfg, x)
-        b.charge(max(1, len(cl.edges)))
-        if cl.surplus == 0:
-            return BudgetedAnswer(NO, work=b.spent, budget=budget)
-        sub = OpenSubgraph.from_cluster(cfg, cl)
-        witness = _min_long_cycle_through(sub, x, b, length_cap=int(k))
+        x = int(x)
+        block = _block_of(cfg, x, b)
+        witness = None if block is None else _min_long_cycle_through(
+            block, x, b, length_cap=int(k))
         if witness is None:
             return BudgetedAnswer(NO, work=b.spent, budget=budget)
         return BudgetedAnswer(YES, witness=witness, value=witness.length,
@@ -745,16 +729,16 @@ def min_long_cycle_cut(cfg: BondConfig, cl: "_cluster.Cluster",
     """
     g = cfg.geometry
     b = WorkBudget(budget)
-    sub = OpenSubgraph.from_cluster(cfg, cl)
-    s = sub.cycle_space_dim()
+    s = int(cl.surplus)
     ub = s if special_edge_count is None else min(s, special_edge_count)
     try:
-        b.charge(sub.num_edges)
+        b.charge(len(cl.edges))
         if _all_cycles_long(g):
             # every cycle is long, so the cut must break all cycles: exactly
             # the cycle-space dimension (remove the chords of a spanning forest)
             value = s
         else:
+            sub = OpenSubgraph.from_cluster(cfg, cl)
             value = sum(_block_cut(OpenSubgraph(g, edges), b) for _, edges in _blocks(sub))
         return BudgetedAnswer(YES, value=value, upper_bound=ub, work=b.spent, budget=budget)
     except BudgetExhausted:
@@ -832,9 +816,13 @@ def long_cycle_interior(cfg: BondConfig, root: int,
     """Cluster vertices z with edge-disjoint witnesses: a root-z path and a
     long cycle through z.
 
-    Returns a lower approximation and an exactness flag; the flag is True only
-    when every remaining vertex carries an exhaustive non-existence
-    certificate.
+    The cycle lies in z's block, and every root-z path enters that block at
+    its entry vertex a, the block vertex nearest the root, then stays inside
+    it; the part up to a crosses bridges, which no cycle uses.  So each block
+    is searched alone, for a long cycle through z that leaves an a-z path of
+    the block.  Returns a lower approximation and an exactness flag; the flag
+    is True only when every remaining vertex carries an exhaustive
+    non-existence certificate.
     """
     g = cfg.geometry
     t = long_cycle_threshold(g)
@@ -846,28 +834,19 @@ def long_cycle_interior(cfg: BondConfig, root: int,
         if cl.surplus == 0:
             return set(), True
         sub = OpenSubgraph.from_cluster(cfg, cl)
-        feasible = (set(sub.vertices) if _all_cycles_long(g)
-                    else _feasible_vertices(sub, t, b))
-        for z in [int(v) for v in cl.vertices]:
-            if z not in feasible:
-                continue
-            hit: list[bool] = []
+        depth, _ = bfs(int(root), sub.adj.__getitem__)
+        for verts, edges in _blocks(sub):
+            block = OpenSubgraph(g, edges)
+            a = min(verts, key=depth.__getitem__)
+            for z in sorted(_feasible_vertices(block, t, b)):
+                def probe(cycle) -> bool:
+                    if cycle_radius(g, cycle) < t:
+                        return False
+                    used = CycleWitness.from_vertices(g, cycle).edges
+                    return block.path_between(a, z, forbidden=used) is not None
 
-            def probe(verts, _z=z, _hit=hit) -> bool:
-                if cycle_radius(g, verts) < t:
-                    return False
-                w = CycleWitness.from_vertices(g, verts)
-                if int(root) == _z:
-                    _hit.append(True)
-                    return True
-                if sub.path_between(int(root), _z, forbidden=w.edges) is not None:
-                    _hit.append(True)
-                    return True
-                return False
-
-            _closed_walk_search(sub, z, b, probe)
-            if hit:
-                members.add(z)
+                if _closed_walk_search(block, z, b, probe):
+                    members.add(z)
         return members, True
     except BudgetExhausted:
         return members, False

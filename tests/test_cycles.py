@@ -17,7 +17,7 @@ from torusperc.cycles import (MalformedCycleError, OpenSubgraph, WorkBudget,
                               shortest_long_cycle_through, vertex_in_long_cycle,
                               winding_vector)
 from torusperc.lattice import get_torus, torus_distance
-from torusperc.percolation import derive_seed, sample_config
+from torusperc.percolation import InstrumentationError, derive_seed, sample_config
 
 from conftest import config_from_edges, edge_of, wrap_line_edges
 
@@ -305,6 +305,13 @@ class TestBudgetedSearches:
         count, unknown = long_cycle_vertex_count(cfg, budget=1)
         assert unknown
 
+    def test_count_reads_no_instrumented_config(self, g28):
+        # the count labels clusters from the bulk mask, which bypasses the
+        # read log, so an instrumented config is refused
+        cfg = config_from_edges(g28, wrap_line_edges(g28))
+        with pytest.raises(InstrumentationError):
+            long_cycle_vertex_count(cfg.instrumented())
+
     def test_critical_d4_r8_counts_are_decided(self):
         # master seed 9 at d=4, r=8, p_c: the whole-cluster walk search ran
         # out of budget on replica 0; per block both replicas are decided,
@@ -312,6 +319,19 @@ class TestBudgetedSearches:
         row = est.est_vertex_long_cycle(4, [8], replicas=2, seed=9).rows[0]
         assert (row.replicas, row.discarded) == (2, 0)
         assert (row.mean, row.stderr) == (76.0, 46.0)
+        # master seed 1: four replicas hold a block of 145-232 vertices where
+        # a walk search from every vertex ran out of budget; every vertex there
+        # has block reach 2t = 4, so none is searched
+        row = est.est_vertex_long_cycle(4, [8], replicas=200, seed=1, threads=2).rows[0]
+        assert (row.replicas, row.discarded) == (200, 0)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_critical_length_profile_is_decided(self, d):
+        # a walk search over the whole cluster ran out of budget on 3 (d=4)
+        # and 2 (d=5) of these replicas; x's block alone is decided
+        rep = est.est_cycle_length_profile(d, 8, [32, 64, 256], replicas=20,
+                                           origins=50, seed=1, threads=2)
+        assert {row.discarded for row in rep.rows} == {0}
 
     def test_shortest_long_cycle_bounds(self, g28):
         cfg = config_from_edges(g28, wrap_line_edges(g28))
@@ -389,6 +409,28 @@ class TestInteriorSet:
         members, exact = long_cycle_interior(cfg, vid(g28, 0, 0), budget=0)
         assert members == set() and not exact
 
+    @pytest.mark.parametrize("r, p", [(5, 0.45), (8, 0.4)])
+    def test_members_match_oracle(self, r, p):
+        # z is a member iff an enumerated long cycle passes z and leaves a
+        # root-z path of the whole cluster, with every third vertex as root
+        g = get_torus(2, r)
+        checked = 0
+        for i in range(40):
+            cfg = sample_config(g, p, derive_seed(541, r, i))
+            for cl in all_components(cfg):
+                if cl.surplus == 0 or len(cl.edges) > 36:
+                    continue
+                sub = OpenSubgraph(g, cl.edges)
+                long_cycles = [c for c in oracle.enumerate_all_cycles(sub, override=True)
+                               if c.long]
+                for root in cl.vertices[::3].tolist():
+                    want = {z for c in long_cycles for z in set(c.vertices)
+                            if z == root
+                            or sub.path_between(root, z, forbidden=c.edges) is not None}
+                    assert long_cycle_interior(cfg, root, budget=10**7) == (want, True)
+                    checked += bool(want)
+        assert checked >= 20
+
     def test_interior_bound_when_exact(self, g25):
         # cut number <= 2d * |interior| whenever the interior is certified
         for i in range(30):
@@ -445,21 +487,31 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("p", [0.32, 0.4, 0.45])
     def test_long_cycle_vertex_count_matches_oracle(self, g28, p):
         # threshold 2: the per-block search counts exactly the vertices that
-        # lie on some enumerated long cycle
-        checked = 0
+        # lie on some enumerated long cycle, and every block vertex whose
+        # reach inside its block is at least 2t = 4, which the count takes as
+        # Yes unsearched, is one of them
+        checked = fired = 0
         for i in range(60):
             cfg = sample_config(g28, p, derive_seed(523, i))
             cyclic = [cl for cl in all_components(cfg) if cl.surplus > 0]
             if any(len(cl.edges) > 40 for cl in cyclic):
                 continue
             on_long = set()
+            far = set()
             for cl in cyclic:
-                for c in oracle.enumerate_all_cycles(OpenSubgraph(g28, cl.edges)):
+                sub = OpenSubgraph(g28, cl.edges)
+                for c in oracle.enumerate_all_cycles(sub):
                     if c.long:
                         on_long.update(c.vertices)
+                for verts, _ in _blocks(sub):
+                    verts = sorted(verts)
+                    far.update(v for v in verts
+                               if torus_distance(g28, v, np.asarray(verts)).max() >= 4)
+            assert far <= on_long, i
             assert long_cycle_vertex_count(cfg) == (len(on_long), False), i
             checked += 1
-        assert checked >= 20
+            fired += bool(far)
+        assert checked >= 20 and fired >= 1
 
     def test_definite_verdicts_match_enumeration(self, g25):
         for i in range(60):
