@@ -9,6 +9,7 @@ status through `is_open`, keeping the read log sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -51,8 +52,13 @@ def component_of(cfg: BondConfig, x: int) -> Cluster:
 class ComponentMap:
     """Label-based view of all open clusters, for bulk statistics.
 
-    `order` ranks clusters by size descending with ties broken by the smallest
-    vertex id they contain, matching the sort contract of all_components.
+    The open edges (`_open_ids`, ascending) and their endpoints (`_uv`) stay
+    with the labels, so the long-cycle vertex count splits every cyclic
+    cluster from them in one array pass.  `roots` (the smallest vertex of
+    each cluster) and `order` are computed on first use: the estimator
+    replicas read neither.  `order` ranks clusters by size descending with
+    ties broken by the smallest vertex id they contain, matching the sort
+    contract of all_components.
     """
 
     def __init__(self, cfg: BondConfig):
@@ -62,10 +68,14 @@ class ComponentMap:
         uv = g.endpoints(open_ids)
         V = g.num_vertices
         if len(open_ids):
-            m = sparse.csr_matrix(
-                (np.ones(len(open_ids), dtype=np.int8), (uv[:, 0], uv[:, 1])),
-                shape=(V, V))
+            # EdgeIds ascend with their base endpoints, so the rows of uv are
+            # already grouped by base: a CSR matrix as it stands, with the
+            # float data the labelling would otherwise copy it into
+            indptr = np.zeros(V + 1, dtype=np.int64)
+            np.cumsum(np.bincount(uv[:, 0], minlength=V), out=indptr[1:])
+            m = sparse.csr_matrix((np.ones(len(open_ids)), uv[:, 1], indptr), shape=(V, V))
             _, labels = csgraph.connected_components(m, directed=False)
+            del m
         else:
             labels = np.arange(V)
         self.cfg = cfg
@@ -77,15 +87,21 @@ class ComponentMap:
         self.surplus = self.edge_counts - self.sizes + 1
         self._open_ids = open_ids
         self._uv = uv
-        # smallest vertex id per label: labels of np.unique's first occurrences
-        first = np.full(self.num_clusters, V, dtype=np.int64)
-        np.minimum.at(first, labels, np.arange(V, dtype=np.int64))
-        self.roots = first
-        self.order = np.lexsort((self.roots, -self.sizes))
         self._vert_order = None
         self._vert_ptr = None
         self._edge_order = None
         self._edge_ptr = None
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Smallest vertex id per label."""
+        first = np.full(self.num_clusters, len(self.labels), dtype=np.int64)
+        np.minimum.at(first, self.labels, np.arange(len(self.labels), dtype=np.int64))
+        return first
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return np.lexsort((self.roots, -self.sizes))
 
     def _vertex_groups(self):
         if self._vert_order is None:

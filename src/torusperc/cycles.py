@@ -6,9 +6,15 @@ figure-eight walks count).  A cycle is long when every one of its vertices has
 another cycle vertex at torus sup-distance at least floor(r/4).
 
 A cycle uses no bridge and is connected, so it lies inside one
-2-edge-connected block of its cluster, and the blocks come from the chord
-cycles of one BFS spanning forest (`_blocks`).  Every search runs on one
-block.  The vertex count, the vertex query, containment, the surgery's edge
+2-edge-connected block of its cluster.  Every search runs on one block.  The
+blocks of one subgraph come from the chord cycles of one BFS spanning forest
+(`_blocks`).  The vertex count splits every cluster of a configuration at
+once, so it takes its blocks from `_edge_blocks`, the same split in a few
+numpy/scipy passes over the whole open edge list.  Those passes cost a fixed
+millisecond or so per call, more than `_blocks` takes on one surgery graph of
+a hundred-odd vertices, and several times less than per-cluster subgraphs and
+`_blocks` take on a whole configuration at d=7 (figures in BENCH_12.json).
+The vertex count, the vertex query, containment, the surgery's edge
 decisions and the minimum cut (the sum of the blocks' cuts) find their
 cycles through `_long_cycle_in_block`; the length-bounded query runs its own
 walk search on x's block, and the interior set on each block from the block
@@ -16,9 +22,10 @@ vertex nearest the root.  For
 floor(r/4) <= 1 every cycle is long, so the vertices on long cycles are
 exactly the block vertices.  Otherwise, with t = floor(r/4), a block vertex
 whose reach inside its block is below t is on no long cycle, and one whose
-reach is at least 2t is on one: two edge-disjoint paths join x to a block
-vertex y at distance >= 2t (Menger), and every vertex of the closed walk they
-form is at distance >= t from x or from y.  The rest runs budgeted
+reach is at least 2t - 1 is on one: two edge-disjoint paths join x to a
+block vertex y at distance >= 2t - 1 (Menger), and every vertex w of the
+closed walk they form has d(w, x) + d(w, y) >= 2t - 1, so, distances being
+integers, w is at distance >= t from x or from y.  The rest runs budgeted
 depth-first walk enumeration inside the block with sound pruning, returning a
 tri-state BudgetedAnswer whose No verdicts are exhaustive-search
 certificates.
@@ -319,6 +326,87 @@ def _blocks(sub: OpenSubgraph) -> list[tuple[set[int], list[int]]]:
                   key=lambda block: block[1][0])
 
 
+def _edge_blocks(uv: np.ndarray) -> np.ndarray:
+    """Per row of an (E, 2) endpoint array, its 2-edge-connected block, -1 for
+    a bridge; blocks are numbered in the order of their first rows.
+
+    The array form of `_blocks`, for a whole configuration at once.  A forest
+    edge is a bridge exactly when no chord's forest path covers it (Tarjan
+    1974).  The forest is one BFS from a virtual root joined to the smallest
+    vertex of each component; all chords lift together, one level per step,
+    to their lowest common ancestors; and per vertex, the chord ends there
+    minus twice the ancestors there, summed over its subtree level by level,
+    counts the chords that cover the edge to its parent.  The blocks are the
+    components of the other edges.
+    """
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    rows = len(uv)
+    if not rows:
+        return np.zeros(0, dtype=np.int64)
+    verts, ends = np.unique(uv, return_inverse=True)
+    n = len(verts)
+    a, b = ends.reshape(rows, 2).T
+    both = sparse.csr_matrix((np.ones(2 * rows, dtype=np.int8),
+                              (np.concatenate([a, b]), np.concatenate([b, a]))),
+                             shape=(n, n))
+    # verts ascend, so each component's first compact id is its smallest vertex
+    tops = np.unique(csgraph.connected_components(both, connection="strong")[1],
+                     return_index=True)[1]
+    joined = sparse.csr_matrix(
+        (np.ones(both.nnz + len(tops), dtype=np.int8),
+         np.concatenate([both.indices, tops]), np.append(both.indptr, both.nnz + len(tops))),
+        shape=(n + 1, n + 1))
+    del both
+    order, parent = csgraph.breadth_first_order(joined, n)
+    del joined
+    # BFS order is level order and the places of the parents never decrease,
+    # so each level ends where the parents leave the level above
+    place = np.empty(n + 1, dtype=np.int64)
+    place[order] = np.arange(n + 1)
+    above = place[parent[order[1:]]]
+    cuts = [0, 1]
+    while cuts[-1] <= n:
+        cuts.append(1 + int(np.searchsorted(above, cuts[-1])))
+    depth = np.empty_like(place)
+    depth[order] = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    # each vertex's forest edge is its first row to its parent
+    child = np.where(parent[b] == a, b, np.where(parent[a] == b, a, -1))
+    first = np.unique(child, return_index=True)[1]
+    is_tree = np.zeros(rows, dtype=bool)
+    is_tree[first[child[first] >= 0]] = True
+    x, y = a[~is_tree], b[~is_tree]
+    cover = np.bincount(x, minlength=n + 1) + np.bincount(y, minlength=n + 1)
+    deeper = depth[x] < depth[y]
+    x, y = np.where(deeper, y, x), np.where(deeper, x, y)
+    live = np.flatnonzero(depth[x] > depth[y])
+    while len(live):
+        x[live] = parent[x[live]]
+        live = live[depth[x[live]] > depth[y[live]]]
+    live = np.flatnonzero(x != y)
+    while len(live):
+        x[live] = parent[x[live]]
+        y[live] = parent[y[live]]
+        live = live[x[live] != y[live]]
+    cover -= 2 * np.bincount(x, minlength=n + 1)
+    for lo, hi in zip(cuts[-2:1:-1], cuts[:2:-1]):
+        kids = order[lo:hi]
+        np.add.at(cover, parent[kids], cover[kids])
+    keep = ~is_tree
+    keep[is_tree] = cover[child[is_tree]] > 0
+    label = np.full(rows, -1, dtype=np.int64)
+    if keep.any():
+        x, y = a[keep], b[keep]
+        rest = sparse.csr_matrix((np.ones(len(x), dtype=np.int8), (x, y)), shape=(n, n))
+        home = csgraph.connected_components(rest, directed=False)[1][x]
+        _, first, inverse = np.unique(home, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        label[keep] = rank[inverse]
+    return label
+
+
 def _lift_forest(sub: OpenSubgraph, budget: WorkBudget):
     """BFS spanning forest with lift offsets relative to each component root."""
     g = sub.geometry
@@ -498,18 +586,35 @@ def _shortest_cycle_through(sub: OpenSubgraph, x: int, budget: WorkBudget,
 # subgraph-level searches
 
 
+def _block_prune(block: OpenSubgraph, budget: WorkBudget, ends=(),
+                 feasible: set[int] | None = None):
+    """A block's feasible vertices and its lift's wrapping cycle (or None), or
+    None when no long cycle of the block can pass through all of `ends`.
+
+    Both depend on the block alone, so a caller that searches from many of
+    its vertices computes them once and passes them to `_long_cycle_in_block`.
+    """
+    if feasible is None:
+        feasible = _feasible_vertices(block, long_cycle_threshold(block.geometry), budget)
+    if not feasible or not feasible.issuperset(ends):
+        return None
+    return feasible, _wrap_cycle_witness(block, budget)
+
+
 def _long_cycle_in_block(block: OpenSubgraph, budget: WorkBudget,
-                         x: int | None = None, e: int | None = None) -> CycleWitness | None:
+                         x: int | None = None, e: int | None = None,
+                         prune=None) -> CycleWitness | None:
     """A long cycle of one block, through vertex x or edge e when one is given;
     None once the search has ruled one out.
 
     Every query for one long cycle runs here, so this holds the one threshold
     shortcut for that question: when every cycle is long, the answer is the
     shortest cycle through x, through e, or through the block's first vertex.
-    Otherwise the feasibility prune runs first, then the lift's wrapping cycle
-    is tried, then the walk search: from x, from an endpoint of e, or from
-    each feasible vertex in turn over the vertices above it, so that every
-    cycle is met from its smallest vertex.
+    Otherwise the feasibility prune runs first (or comes from `_block_prune`
+    as `prune`), then the lift's wrapping cycle is tried, then the walk
+    search: from x, from an endpoint of e, or from each feasible vertex in
+    turn over the vertices above it, so that every cycle is met from its
+    smallest vertex.
     """
     g = block.geometry
     if e is not None:
@@ -519,10 +624,11 @@ def _long_cycle_in_block(block: OpenSubgraph, budget: WorkBudget,
     if _all_cycles_long(g):
         start = ends[0] if ends else block.vertices[0]
         return _shortest_cycle_through(block, start, budget, through=e)
-    feasible = _feasible_vertices(block, long_cycle_threshold(g), budget)
-    if not feasible or not feasible.issuperset(ends):
+    if prune is None:
+        prune = _block_prune(block, budget, ends)
+    if prune is None or not prune[0].issuperset(ends):
         return None
-    wrap = _wrap_cycle_witness(block, budget)
+    feasible, wrap = prune
     if (wrap is not None and wrap.long and (x is None or x in wrap.vertices)
             and (e is None or e in wrap.edges)):
         return wrap
@@ -629,41 +735,64 @@ def long_cycle_vertex_count(cfg: BondConfig,
                             budget: int = DEFAULT_BUDGET) -> tuple[int, bool]:
     """Number of vertices with a definite Yes; flag set if any query was Unknown.
 
-    The budget applies per cluster, and each of its 2-edge-connected blocks is
-    decided on its own from the reach of its vertices inside the block, with
-    t = floor(r/4).  When every cycle is long, every block vertex counts.
-    Otherwise a vertex of reach below t is on no long cycle, one of reach at
-    least 2t is on one, and only the vertices between are searched, each one
-    not yet met on a witness.  Trees are skipped outright.
+    The blocks of every cluster with a cycle come from one `_edge_blocks`
+    call over the component map's open edges.  The budget applies per
+    cluster, which is first charged its edge count, and each of its
+    2-edge-connected blocks is decided on its own from the reach of its
+    vertices inside the block, with t = floor(r/4).  When every cycle is long,
+    every block vertex counts.  Otherwise a vertex of reach below t is on no
+    long cycle, one of reach at least 2t - 1 is on one, and only the vertices
+    between are searched, each one not yet met on a witness, with the block's
+    prune and wrapping cycle computed once.  Trees are skipped outright.
     """
     g = cfg.geometry
     t = long_cycle_threshold(g)
-    count = 0
-    any_unknown = False
     cm = _cluster.component_map(cfg)
-    for lab in np.flatnonzero(cm.surplus >= 1):
-        cl = cm.cluster(int(lab))
+    cyclic = cm.surplus >= 1
+    over = cyclic & (cm.edge_counts > budget)        # the first charge fails
+    rows = (cyclic & ~over)[cm.labels[cm._uv[:, 0]]]
+    uv = cm._uv[rows]
+    blocks = _edge_blocks(uv)
+    on = blocks >= 0
+    unknown = bool(over.any())
+    if _all_cycles_long(g):
+        return len(np.unique(uv[on])), unknown
+    blocks, eids, uv = blocks[on], cm._open_ids[rows][on], uv[on]
+    num = int(blocks.max()) + 1 if len(blocks) else 0
+    # each block's edges and vertices, sorted, as slices of two flat arrays
+    eids = eids[np.argsort(blocks, kind="stable")]
+    edge_ptr = np.concatenate([[0], np.cumsum(np.bincount(blocks, minlength=num))])
+    V = g.num_vertices
+    keys = np.unique(np.repeat(blocks, 2) * V + uv.ravel())
+    verts = keys % V
+    vert_ptr = np.searchsorted(keys // V, np.arange(num + 1))
+    home = np.empty(num, dtype=np.int64)
+    home[blocks] = cm.labels[uv[:, 0]]
+    count = 0
+    for lab, ks in itertools.groupby(np.argsort(home, kind="stable").tolist(),
+                                     key=home.__getitem__):
         b = WorkBudget(budget)
         try:
-            b.charge(max(1, len(cl.edges)))
-            blocks = _blocks(OpenSubgraph.from_cluster(cfg, cl))
-            if _all_cycles_long(g):
-                count += sum(len(verts) for verts, _ in blocks)
-                continue
-            for _, edges in blocks:
-                block = OpenSubgraph(g, edges)
-                b.charge(len(block.vertices))
-                reach = dict(zip(block.vertices, _sup_reach(g, block.vertices)))
-                yes = {x for x, far in reach.items() if far >= 2 * t}
-                for x, far in reach.items():
-                    if far >= t and x not in yes:
-                        found = _long_cycle_in_block(block, b, x=x)
-                        if found is not None:
-                            yes.update(found.vertices)
+            b.charge(int(cm.edge_counts[lab]))
+            for k in ks:
+                block_verts = verts[vert_ptr[k]:vert_ptr[k + 1]].tolist()
+                b.charge(len(block_verts))
+                reach = _sup_reach(g, block_verts)
+                yes = {x for x, far in zip(block_verts, reach) if far >= 2 * t - 1}
+                feasible = {x for x, far in zip(block_verts, reach) if far >= t}
+                todo = sorted(feasible - yes)
+                if todo:
+                    block = OpenSubgraph(g, eids[edge_ptr[k]:edge_ptr[k + 1]])
+                    prune = _block_prune(block, b, feasible=feasible)
+                    for x in todo:
+                        if x not in yes:
+                            found = _long_cycle_in_block(block, b, x=x, prune=prune)
+                            if found is not None:
+                                yes.update(found.vertices)
                 count += len(yes)
         except BudgetExhausted:
-            any_unknown = True
-    return count, any_unknown
+            unknown = True
+    return count, unknown
 
 
 def longest_long_fundamental_cycle(cfg: BondConfig, budget: int = DEFAULT_BUDGET) -> int:

@@ -72,9 +72,11 @@ def test_cycle_kernels_take_no_coordinates():
         assert not calls & {"displacement", "vertex_coords", "centered_mod"}, name
 
 
-#: The queries for long cycles that split a cluster and search block by block;
-#: `_block_of` splits for the two queries about cycles through one vertex.
-BLOCK_SEARCHES = {"_block_of", "long_cycle_vertex_count", "long_cycle_interior",
+#: The queries for long cycles that split one subgraph with `_blocks` and
+#: search block by block; `_block_of` splits for the two queries about cycles
+#: through one vertex.  The vertex count splits a whole configuration with
+#: `_edge_blocks` instead.
+BLOCK_SEARCHES = {"_block_of", "long_cycle_interior",
                   "_subgraph_contains_long_cycle", "min_long_cycle_cut",
                   "edge_closes_long_cycle"}
 
@@ -90,8 +92,9 @@ def _callers(tree, name):
 
 def test_blocks_alone_compute_bridges():
     # no module computes bridges or keeps a whole-cluster search; the block
-    # searches take their blocks from `_blocks` and search each one through
-    # the one per-block routine or a walk search on that block
+    # searches take their blocks from `_blocks`, or for the whole-configuration
+    # count from `_edge_blocks`, and search each one through the one
+    # per-block routine or a walk search on that block
     for path in PACKAGE.glob("*.py"):
         names = set(_identifiers(_tree(path.name)))
         assert not names & {"_bridges", "_cycle_vertices_exact", "_any_cycle_witness",
@@ -99,10 +102,11 @@ def test_blocks_alone_compute_bridges():
                             "_instrumented_components"}, path.name
     tree = _tree("cycles.py")
     assert _callers(tree, "_blocks") == BLOCK_SEARCHES
+    assert _callers(tree, "_edge_blocks") == {"long_cycle_vertex_count"}
     assert _callers(tree, "_block_of") == {"vertex_in_long_cycle",
                                            "shortest_long_cycle_through"}
     assert _callers(tree, "_long_cycle_in_block") <= BLOCK_SEARCHES | {
-        "_block_cut", "vertex_in_long_cycle"}
+        "_block_cut", "vertex_in_long_cycle", "long_cycle_vertex_count"}
     assert _callers(tree, "_closed_walk_search") == WALK_SEARCHES
     assert _callers(tree, "_first_long_walk") == {"_long_cycle_in_block"}
     assert _callers(tree, "_min_long_cycle_through") == {"shortest_long_cycle_through"}

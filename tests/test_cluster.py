@@ -1,11 +1,21 @@
 import numpy as np
+import pytest
 
 from torusperc.cluster import (all_components, component_map, component_of,
                                connected_within, intrinsic_ball)
-from torusperc.lattice import get_torus, torus_distance
+from torusperc.lattice import BoxGeometry, get_torus, torus_distance
 from torusperc.percolation import derive_seed, sample_config
 
 from conftest import config_from_edges, edge_of
+
+
+def _assert_map_matches_traversal(cfg):
+    cm = component_map(cfg)
+    for lab in range(cm.num_clusters):
+        cl = cm.cluster(lab)
+        direct = component_of(cfg, int(cl.vertices[0]))
+        assert (cl.vertices == direct.vertices).all()
+        assert (cl.edges == direct.edges).all()
 
 
 class TestComponents:
@@ -45,13 +55,16 @@ class TestComponents:
         assert all(c.size == 1 for c in comps)
 
     def test_component_map_matches(self, g25):
-        cfg = sample_config(g25, 0.45, 17)
-        cm = component_map(cfg)
-        for lab in range(cm.num_clusters):
-            cl = cm.cluster(lab)
-            direct = component_of(cfg, int(cl.vertices[0]))
-            assert (cl.vertices == direct.vertices).all()
-            assert (cl.edges == direct.edges).all()
+        _assert_map_matches_traversal(sample_config(g25, 0.45, 17))
+
+    @pytest.mark.parametrize("geometry, p", [
+        (get_torus(3, 6, "spread-out", 2), 0.03),
+        (BoxGeometry((0, 0, 0), 2), 0.3),
+    ])
+    def test_component_map_matches_on_other_geometries(self, geometry, p):
+        # the map reads its sparse rows off the open EdgeIds in ascending
+        # order, which the base endpoints of every geometry follow
+        _assert_map_matches_traversal(sample_config(geometry, p, 17))
 
     def test_instrumented_traversal_logs_reads(self, g25):
         cfg = sample_config(g25, 0.45, 23).instrumented()

@@ -9,14 +9,15 @@ from torusperc import estimators as est
 from torusperc import oracle
 from torusperc.cluster import all_components, component_of
 from torusperc.cycles import (MalformedCycleError, OpenSubgraph, WorkBudget,
-                              _blocks, _feasible_vertices, _long_cycle_in_block,
+                              _blocks, _edge_blocks, _feasible_vertices,
+                              _long_cycle_in_block,
                               cluster_contains_long_cycle, cut_sums, cycle_radius,
                               has_wrapping_cluster, is_long_cycle,
                               long_cycle_interior, long_cycle_threshold,
                               long_cycle_vertex_count, min_long_cycle_cut,
                               shortest_long_cycle_through, vertex_in_long_cycle,
                               winding_vector)
-from torusperc.lattice import get_torus, torus_distance
+from torusperc.lattice import bfs, get_torus, torus_distance
 from torusperc.percolation import InstrumentationError, derive_seed, sample_config
 
 from conftest import config_from_edges, edge_of, wrap_line_edges
@@ -162,6 +163,35 @@ def _components_keeping_vertices(sub, removed):
     return rest.component_count()
 
 
+def _non_bridges(sub):
+    """The edges whose removal leaves the component count unchanged."""
+    base = sub.component_count()
+    return [e for e in sub.edge_ids if _components_keeping_vertices(sub, [e]) == base]
+
+
+def _non_bridge_partition(sub):
+    """The edge sets of the components of the non-bridge edges, in the order
+    of their smallest edges."""
+    rest = OpenSubgraph(sub.geometry, _non_bridges(sub))
+    seen, parts = set(), []
+    for s in rest.vertices:
+        if s not in seen:
+            verts = bfs(s, rest.adj.__getitem__)[0]
+            seen.update(verts)
+            parts.append(sorted({e for v in verts for e, _ in rest.adj[v]}))
+    return sorted(parts)
+
+
+def _labelled_partition(edges, labels):
+    """The edges of each label >= 0, in label order."""
+    parts = {}
+    for e, lab in zip(edges, labels.tolist()):
+        if lab >= 0:
+            parts.setdefault(lab, []).append(e)
+    assert sorted(parts) == list(range(len(parts)))
+    return [parts[lab] for lab in range(len(parts))]
+
+
 class TestBlocks:
     @given(open_edge_sets())
     @example((get_torus(2, 5), []))
@@ -170,16 +200,32 @@ class TestBlocks:
     def test_blocks_partition_the_non_bridge_edges(self, case):
         g, edges = case
         sub = OpenSubgraph(g, edges)
-        base = sub.component_count()
-        non_bridges = [e for e in sub.edge_ids
-                       if _components_keeping_vertices(sub, [e]) == base]
         blocks = list(_blocks(sub))
-        assert sorted(e for _, block_edges in blocks for e in block_edges) == non_bridges
+        assert sorted(e for _, block_edges in blocks for e in block_edges) == _non_bridges(sub)
         for verts, block_edges in blocks:
             block = OpenSubgraph(g, block_edges)
             assert block_edges and set(block.vertices) == verts
             assert block.component_count() == 1
             assert all(_components_keeping_vertices(block, [e]) == 1 for e in block_edges)
+
+    @given(open_edge_sets())
+    @example((get_torus(2, 5), []))
+    @example((get_torus(2, 8), list(range(get_torus(2, 8).num_edges))))
+    @settings(max_examples=60, deadline=None)
+    def test_edge_blocks_partition_the_non_bridge_edges(self, case):
+        # the array layer labels the components of the non-bridge edges in
+        # the order of their smallest edges, and one call over every cluster
+        # splits each cluster as a call over that cluster alone does
+        g, edges = case
+        sub = OpenSubgraph(g, edges)
+        ends = g.endpoints(np.asarray(sub.edge_ids, dtype=np.int64)).reshape(-1, 2)
+        whole = _labelled_partition(sub.edge_ids, _edge_blocks(ends))
+        assert whole == _non_bridge_partition(sub)
+        per_cluster = []
+        for cl in all_components(config_from_edges(g, edges)):
+            per_cluster += _labelled_partition(cl.edges.tolist(),
+                                               _edge_blocks(g.endpoints(cl.edges)))
+        assert sorted(per_cluster) == whole
 
     @pytest.mark.parametrize("r", [4, 8])
     def test_block_search_goes_through_the_asked_vertex_or_edge(self, r):
@@ -304,6 +350,17 @@ class TestBudgetedSearches:
         cfg = config_from_edges(g28, wrap_line_edges(g28))
         count, unknown = long_cycle_vertex_count(cfg, budget=1)
         assert unknown
+
+    def test_count_unknown_with_tiny_budget_at_threshold_1(self):
+        # a wrapping column of 4 edges and a domino of 7: a budget of 5
+        # covers the column only, so the domino is left uncounted and flagged
+        g = get_torus(2, 4)
+        column = wrap_line_edges(g, axis=1)
+        domino = [edge_of(g, (x, y), (x + 1, y)) for x in (1, 2) for y in (0, 1)]
+        domino += [edge_of(g, (x, 0), (x, 1)) for x in (1, 2, 3)]
+        cfg = config_from_edges(g, column + domino)
+        assert long_cycle_vertex_count(cfg, budget=5) == (4, True)
+        assert long_cycle_vertex_count(cfg, budget=7) == (10, False)
 
     def test_count_reads_no_instrumented_config(self, g28):
         # the count labels clusters from the bulk mask, which bypasses the
@@ -488,8 +545,8 @@ class TestOracleAgreement:
     def test_long_cycle_vertex_count_matches_oracle(self, g28, p):
         # threshold 2: the per-block search counts exactly the vertices that
         # lie on some enumerated long cycle, and every block vertex whose
-        # reach inside its block is at least 2t = 4, which the count takes as
-        # Yes unsearched, is one of them
+        # reach inside its block is at least 2t - 1 = 3, which the count takes
+        # as Yes unsearched, is one of them
         checked = fired = 0
         for i in range(60):
             cfg = sample_config(g28, p, derive_seed(523, i))
@@ -506,7 +563,7 @@ class TestOracleAgreement:
                 for verts, _ in _blocks(sub):
                     verts = sorted(verts)
                     far.update(v for v in verts
-                               if torus_distance(g28, v, np.asarray(verts)).max() >= 4)
+                               if torus_distance(g28, v, np.asarray(verts)).max() >= 3)
             assert far <= on_long, i
             assert long_cycle_vertex_count(cfg) == (len(on_long), False), i
             checked += 1
