@@ -233,52 +233,35 @@ def _parse_floats(text: str) -> list[float]:
 def _cmd_estimate(args) -> int:
     _require(args, "d", "seed")
     _check_probability_flags(args)
-    model, p, replicas, budget, threads = (args.model, args.p, args.replicas,
-                                           args.budget, args.threads)
-    L = 1 if args.L is None else args.L
+    common = {"model": args.model, "L": 1 if args.L is None else args.L, "p": args.p,
+              "replicas": args.replicas, "seed": args.seed, "threads": args.threads}
+    budgeted = dict(common, budget=args.budget)
     q = args.quantity
     if q == "ball-boundary":
         if not args.n_list:
             raise UsageError("ball-boundary needs --n-list")
         ns = [int(t) for t in args.n_list.split(",")]
-        report = _est.est_ball_boundary_sum(args.d, ns, p=p, model=model, L=L,
-                                            replicas=replicas, seed=args.seed,
-                                            threads=threads)
+        report = _est.est_ball_boundary_sum(args.d, ns, **common)
     else:
         _require(args, "r")
         sizes = _sizes(args)
         if q == "vertex-long-cycle":
-            report = _est.est_vertex_long_cycle(args.d, sizes, model=model, L=L,
-                                                p=p, replicas=replicas,
-                                                budget=budget, seed=args.seed,
-                                                threads=threads)
+            report = _est.est_vertex_long_cycle(args.d, sizes, **budgeted)
         elif q == "cycle-cut":
-            report = _est.est_cycle_cut(args.d, sizes, _parse_floats(args.delta),
-                                        model=model, L=L, p=p, replicas=replicas,
-                                        budget=budget, seed=args.seed,
-                                        threads=threads)
+            report = _est.est_cycle_cut(args.d, sizes, _parse_floats(args.delta), **budgeted)
         elif q == "cluster-size":
-            report = _est.est_mean_cluster_size(args.d, sizes, model=model, L=L,
-                                                p=p, replicas=replicas,
-                                                seed=args.seed, threads=threads)
+            report = _est.est_mean_cluster_size(args.d, sizes, **common)
         elif q == "cycle-length":
             if not args.k_schedule:
                 raise UsageError("cycle-length needs --k-schedule")
             ks = [int(t) for t in args.k_schedule.split(",")]
-            report = _est.est_cycle_length_profile(
-                args.d, sizes[0], ks, model=model, L=L, p=p, replicas=replicas,
-                origins=args.origins, budget=budget, seed=args.seed,
-                threads=threads)
+            report = _est.est_cycle_length_profile(args.d, sizes[0], ks, origins=args.origins,
+                                                   **budgeted)
         elif q == "long-cycle-tail":
-            report = _est.est_long_cycle_tail(args.d, sizes[0],
-                                              _parse_floats(args.eps),
-                                              model=model, L=L, p=p,
-                                              replicas=replicas, budget=budget,
-                                              seed=args.seed, threads=threads)
+            report = _est.est_long_cycle_tail(args.d, sizes[0], _parse_floats(args.eps),
+                                              **budgeted)
         elif q == "two-point":
-            report = _est.est_two_point(args.d, sizes[0], model=model, L=L, p=p,
-                                        replicas=replicas, seed=args.seed,
-                                        threads=threads)
+            report = _est.est_two_point(args.d, sizes[0], **common)
         else:  # pragma: no cover - argparse restricts choices
             raise UsageError(f"unknown quantity {q!r}")
     fmt = args.format or "csv"

@@ -87,10 +87,6 @@ class ComponentMap:
         self.surplus = self.edge_counts - self.sizes + 1
         self._open_ids = open_ids
         self._uv = uv
-        self._vert_order = None
-        self._vert_ptr = None
-        self._edge_order = None
-        self._edge_ptr = None
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -103,32 +99,33 @@ class ComponentMap:
     def order(self) -> np.ndarray:
         return np.lexsort((self.roots, -self.sizes))
 
-    def _vertex_groups(self):
-        if self._vert_order is None:
-            self._vert_order = np.argsort(self.labels, kind="stable")
-            counts = np.bincount(self.labels, minlength=self.num_clusters)
-            self._vert_ptr = np.concatenate([[0], np.cumsum(counts)])
-        return self._vert_order, self._vert_ptr
+    @cached_property
+    def _vertex_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex ids grouped by label, with each label's slice bounds."""
+        return _grouped(self.labels, self.num_clusters)
 
-    def _edge_groups(self):
-        if self._edge_order is None:
-            lab = self.labels[self._uv[:, 0]]
-            self._edge_order = np.argsort(lab, kind="stable")
-            counts = np.bincount(lab, minlength=self.num_clusters)
-            self._edge_ptr = np.concatenate([[0], np.cumsum(counts)])
-        return self._edge_order, self._edge_ptr
+    @cached_property
+    def _edge_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Open-edge rows grouped by label, with each label's slice bounds."""
+        return _grouped(self.labels[self._uv[:, 0]], self.num_clusters)
 
     def cluster_vertices(self, label: int) -> np.ndarray:
-        order, ptr = self._vertex_groups()
+        order, ptr = self._vertex_groups
         return np.sort(order[ptr[label]:ptr[label + 1]])
 
     def cluster_edges(self, label: int) -> np.ndarray:
-        order, ptr = self._edge_groups()
+        order, ptr = self._edge_groups
         return np.sort(self._open_ids[order[ptr[label]:ptr[label + 1]]])
 
     def cluster(self, label: int) -> Cluster:
         verts = self.cluster_vertices(label)
         return Cluster(int(self.roots[label]), verts, self.cluster_edges(label))
+
+
+def _grouped(labels: np.ndarray, num: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices sorted stably by label, and per label its slice bounds."""
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=num))])
+    return np.argsort(labels, kind="stable"), ptr
 
 
 def component_map(cfg: BondConfig) -> ComponentMap:

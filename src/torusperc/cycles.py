@@ -16,9 +16,10 @@ a hundred-odd vertices, and several times less than per-cluster subgraphs and
 `_blocks` take on a whole configuration at d=7 (figures in BENCH_12.json).
 The vertex count, the vertex query, containment, the surgery's edge
 decisions and the minimum cut (the sum of the blocks' cuts) find their
-cycles through `_long_cycle_in_block`; the length-bounded query runs its own
-walk search on x's block, and the interior set on each block from the block
-vertex nearest the root.  For
+cycles through `_long_cycle_in_block`; the length-bounded query searches x's
+block, and the interior set each block from the block vertex nearest the
+root.  Every walk search reads one generator, `_closed_walks`, in a plain loop
+over the closed walks it yields, and stops it by leaving the loop.  For
 floor(r/4) <= 1 every cycle is long, so the vertices on long cycles are
 exactly the block vertices.  Otherwise, with t = floor(r/4), a block vertex
 whose reach inside its block is below t is on no long cycle, and one whose
@@ -219,14 +220,6 @@ class OpenSubgraph:
             adj.setdefault(v, []).append((e, u))
         self.adj = adj
         self.vertices = sorted(adj)
-
-    @classmethod
-    def from_cluster(cls, cfg: BondConfig, cl: "_cluster.Cluster") -> "OpenSubgraph":
-        sub = cls(cfg.geometry, cl.edges)
-        for v in cl.vertices:
-            sub.adj.setdefault(int(v), [])
-        sub.vertices = sorted(sub.adj)
-        return sub
 
     @property
     def num_edges(self) -> int:
@@ -471,32 +464,28 @@ def _root_path(parent, v) -> list[int]:
 # budgeted walk enumeration
 
 
-def _closed_walk_search(sub: OpenSubgraph, x: int, budget: WorkBudget,
-                        on_closure, *, min_vertex: int | None = None,
-                        feasible: set[int] | None = None,
-                        dist_to_x: dict[int, int] | None = None,
-                        cap: list | None = None) -> bool:
-    """DFS over edge-self-avoiding closed walks from x.
-
-    Calls on_closure(vertex_sequence) at every closure; a truthy return aborts
-    the search (first witness wins).  Returns True when aborted, False when
-    the enumeration ran to exhaustion.  Walks may pass through x and close
-    later, so composite (figure-eight) cycles are enumerated too.
+def _closed_walks(sub: OpenSubgraph, x: int, budget: WorkBudget, *,
+                  min_vertex: int | None = None, feasible: set[int] | None = None,
+                  dist_to_x: dict[int, int] | None = None, cap: list | None = None):
+    """DFS over edge-self-avoiding closed walks from x, yielding each closed
+    vertex sequence as it closes; the caller stops the search by leaving its
+    loop.  Walks may pass through x and close later, so composite
+    (figure-eight) cycles are enumerated too.
 
     Sound pruning only: vertices outside `feasible` can never lie on a long
     cycle, and `cap`/`dist_to_x` bound the achievable closure length from
-    below.  One unit of budget is charged per edge traversal.
+    below.  `cap[0]` may be lowered between closures; the next step reads it.
+    One unit of budget is charged per edge traversal.
     """
     x = int(x)
     if x not in sub.adj:
-        return False
+        return
     used: set[int] = set()
     path = [x]
     frames = [(x, 0)]
     while frames:
         v, idx = frames[-1]
         adj = sub.adj[v]
-        advanced = False
         while idx < len(adj):
             e, w = adj[idx]
             idx += 1
@@ -506,51 +495,24 @@ def _closed_walk_search(sub: OpenSubgraph, x: int, budget: WorkBudget,
                 continue
             if feasible is not None and w not in feasible:
                 continue
-            limit = cap[0] if cap is not None else None
-            if limit is not None:
-                need = len(used) + 1
+            if cap is not None and cap[0] is not None:
                 back = 0 if w == x else (dist_to_x.get(w) if dist_to_x else 0)
-                if back is None or need + back > limit:
+                if back is None or len(used) + 1 + back > cap[0]:
                     continue
             budget.charge()
             if w == x and len(used) + 1 >= 3:
-                if on_closure(path + [x]):
-                    return True
-                if cap is not None and cap[0] is not None and len(used) + 1 > cap[0]:
-                    continue
+                yield path + [x]
             frames[-1] = (v, idx)
             used.add(e)
             path.append(w)
             frames.append((w, 0))
-            advanced = True
             break
-        if not advanced:
+        else:
             frames.pop()
             path.pop()
             if frames:
                 fv, fidx = frames[-1]
                 used.discard(sub.adj[fv][fidx - 1][0])
-    return False
-
-
-def _first_long_walk(sub: OpenSubgraph, x: int, budget: WorkBudget,
-                     through: int | None = None, **prune) -> CycleWitness | None:
-    """The first long closed walk the search from x meets, or None; with
-    `through`, only walks that traverse that edge count."""
-    g = sub.geometry
-    t = long_cycle_threshold(g)
-    found: list[CycleWitness] = []
-
-    def grab(verts) -> bool:
-        if cycle_radius(g, verts) >= t:
-            w = CycleWitness.from_vertices(g, verts)
-            if through is None or through in w.edges:
-                found.append(w)
-                return True
-        return False
-
-    _closed_walk_search(sub, x, budget, grab, **prune)
-    return found[0] if found else None
 
 
 def _feasible_vertices(sub: OpenSubgraph, t: int, budget: WorkBudget) -> set[int]:
@@ -632,11 +594,14 @@ def _long_cycle_in_block(block: OpenSubgraph, budget: WorkBudget,
     if (wrap is not None and wrap.long and (x is None or x in wrap.vertices)
             and (e is None or e in wrap.edges)):
         return wrap
+    t = long_cycle_threshold(g)
     for s in ends[:1] or sorted(feasible):
-        found = _first_long_walk(block, s, budget, through=e, feasible=feasible,
-                                 min_vertex=None if ends else s)
-        if found is not None:
-            return found
+        for walk in _closed_walks(block, s, budget, feasible=feasible,
+                                  min_vertex=None if ends else s):
+            if cycle_radius(g, walk) >= t:
+                found = CycleWitness.from_vertices(g, walk)
+                if e is None or e in found.edges:
+                    return found
     return None
 
 
@@ -667,19 +632,14 @@ def _min_long_cycle_through(block: OpenSubgraph, x: int, budget: WorkBudget,
         return None
     dist, _ = bfs(x, block.adj.__getitem__)
     cap = [length_cap]
-    best: list[CycleWitness | None] = [None]
-
-    def note(verts) -> bool:
-        if cycle_radius(g, verts) >= t:
-            w = CycleWitness.from_vertices(g, verts)
-            if best[0] is None or w.length < best[0].length:
-                best[0] = w
-                cap[0] = w.length - 1
-        return False
-
-    _closed_walk_search(block, x, budget, note, feasible=feasible,
-                        dist_to_x=dist, cap=cap)
-    return best[0]
+    best = None
+    # each long closure lowers the cap below its length, so the last is shortest
+    for walk in _closed_walks(block, x, budget, feasible=feasible,
+                              dist_to_x=dist, cap=cap):
+        if cycle_radius(g, walk) >= t:
+            best = CycleWitness.from_vertices(g, walk)
+            cap[0] = best.length - 1
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +657,7 @@ def _block_of(cfg: BondConfig, x: int, budget: WorkBudget) -> OpenSubgraph | Non
     if cl.surplus == 0:
         return None
     budget.charge(len(cl.edges))
-    edges = next((edges for verts, edges in _blocks(OpenSubgraph.from_cluster(cfg, cl))
+    edges = next((edges for verts, edges in _blocks(OpenSubgraph(cfg.geometry, cl.edges))
                   if x in verts), None)
     return None if edges is None else OpenSubgraph(cfg.geometry, edges)
 
@@ -725,8 +685,7 @@ def cluster_contains_long_cycle(cfg: BondConfig, cl: "_cluster.Cluster",
     """Does the cluster contain any open long cycle?"""
     b = WorkBudget(budget)
     try:
-        sub = OpenSubgraph.from_cluster(cfg, cl)
-        return _subgraph_contains_long_cycle(sub, b)
+        return _subgraph_contains_long_cycle(OpenSubgraph(cfg.geometry, cl.edges), b)
     except BudgetExhausted:
         return BudgetedAnswer(UNKNOWN, work=b.spent, budget=budget)
 
@@ -867,7 +826,7 @@ def min_long_cycle_cut(cfg: BondConfig, cl: "_cluster.Cluster",
             # the cycle-space dimension (remove the chords of a spanning forest)
             value = s
         else:
-            sub = OpenSubgraph.from_cluster(cfg, cl)
+            sub = OpenSubgraph(g, cl.edges)
             value = sum(_block_cut(OpenSubgraph(g, edges), b) for _, edges in _blocks(sub))
         return BudgetedAnswer(YES, value=value, upper_bound=ub, work=b.spent, budget=budget)
     except BudgetExhausted:
@@ -962,20 +921,19 @@ def long_cycle_interior(cfg: BondConfig, root: int,
         b.charge(max(1, len(cl.edges)))
         if cl.surplus == 0:
             return set(), True
-        sub = OpenSubgraph.from_cluster(cfg, cl)
+        sub = OpenSubgraph(g, cl.edges)
         depth, _ = bfs(int(root), sub.adj.__getitem__)
         for verts, edges in _blocks(sub):
             block = OpenSubgraph(g, edges)
             a = min(verts, key=depth.__getitem__)
             for z in sorted(_feasible_vertices(block, t, b)):
-                def probe(cycle) -> bool:
-                    if cycle_radius(g, cycle) < t:
-                        return False
-                    used = CycleWitness.from_vertices(g, cycle).edges
-                    return block.path_between(a, z, forbidden=used) is not None
-
-                if _closed_walk_search(block, z, b, probe):
-                    members.add(z)
+                for walk in _closed_walks(block, z, b):
+                    if cycle_radius(g, walk) < t:
+                        continue
+                    used = CycleWitness.from_vertices(g, walk).edges
+                    if block.path_between(a, z, forbidden=used) is not None:
+                        members.add(z)
+                        break
         return members, True
     except BudgetExhausted:
         return members, False

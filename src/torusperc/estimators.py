@@ -496,6 +496,13 @@ class _HashedBox:
         return bfs((0,) * self.d, step)[0]
 
 
+def _box_model(quantity, model):
+    """Refuse any model but nearest-neighbor: the hashed boxes know no other."""
+    if model != NEAREST_NEIGHBOR:
+        raise ValueError(f"{quantity} supports only model {NEAREST_NEIGHBOR!r}, "
+                         f"got {model!r}")
+
+
 def _ball_worker(args):
     i, d, n, p, seed = args
     box = _HashedBox(d, n, p, derive_seed(seed, _S_BALL, n, i))
@@ -509,8 +516,10 @@ def est_ball_boundary_sum(d, n_values, *, p=None, model=NEAREST_NEIGHBOR, L=1,
 
     The sum over the boundary of the in-box connection probabilities is
     bounded at criticality, so the means should stay flat in n.  The r column
-    of the report carries n.
+    of the report carries n.  The box is nearest-neighbor, so any other
+    model raises ValueError.
     """
+    _box_model("ball-boundary", model)
     n_values = sorted(int(n) for n in n_values)
     if any(n < 1 for n in n_values):
         raise ValueError("box radius must be >= 1")
@@ -553,8 +562,10 @@ def est_two_point(d, r, *, model=NEAREST_NEIGHBOR, L=1, p=None, replicas=300,
 
     The lattice surrogate runs in a box of side 4r+1 (free boundary
     under-counts, so the reported scaled gap is an upper-bound check):
-    (tau_T - tau_Z) * V^(2/3) should stay bounded.
+    (tau_T - tau_Z) * V^(2/3) should stay bounded.  The box is
+    nearest-neighbor, so any other model raises ValueError.
     """
+    _box_model("two-point", model)
     if max_offset is None:
         max_offset = r // 2
     offsets = list(range(1, max_offset + 1))

@@ -123,6 +123,13 @@ class BondConfig:
         return self._packed.tobytes()
 
 
+#: Edges per `rng.random` call in `sample_config` (a 16 MB float64 draw).
+#: Draws in chunks equal one draw, and a chunk is a whole number of bytes, so
+#: the packed chunks concatenate.  Chunks of 2^18 ran the d=7, r <= 6
+#: estimators about 10% slower, with several times the page faults per replica.
+_SAMPLE_CHUNK = 1 << 21
+
+
 def sample_config(geometry, p: float, seed: int) -> BondConfig:
     """Sample each edge open independently with probability p; deterministic per seed.
 
@@ -132,8 +139,11 @@ def sample_config(geometry, p: float, seed: int) -> BondConfig:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p!r}")
     rng = replica_rng(seed)
-    u = rng.random(geometry.num_edges)
-    packed = np.packbits(u < p, bitorder="little")
+    E = geometry.num_edges
+    packed = np.empty(-(-E // 8), dtype=np.uint8)
+    for lo in range(0, E, _SAMPLE_CHUNK):
+        bits = np.packbits(rng.random(min(_SAMPLE_CHUNK, E - lo)) < p, bitorder="little")
+        packed[lo // 8:lo // 8 + len(bits)] = bits
     return BondConfig(geometry, p, seed, packed)
 
 

@@ -80,8 +80,9 @@ BLOCK_SEARCHES = {"_block_of", "long_cycle_interior",
                   "_subgraph_contains_long_cycle", "min_long_cycle_cut",
                   "edge_closes_long_cycle"}
 
-#: The walk searches, each of which runs on one block.
-WALK_SEARCHES = {"_first_long_walk", "_min_long_cycle_through", "long_cycle_interior"}
+#: The walk searches, each of which runs on one block and reads the one
+#: closed-walk generator in a plain loop.
+WALK_SEARCHES = {"_long_cycle_in_block", "_min_long_cycle_through", "long_cycle_interior"}
 
 
 def _callers(tree, name):
@@ -94,12 +95,15 @@ def test_blocks_alone_compute_bridges():
     # no module computes bridges or keeps a whole-cluster search; the block
     # searches take their blocks from `_blocks`, or for the whole-configuration
     # count from `_edge_blocks`, and search each one through the one
-    # per-block routine or a walk search on that block
+    # per-block routine or a walk search on that block; the walk search is
+    # one generator, with no callback protocol and no subgraph that pads a
+    # cluster with edgeless vertices
     for path in PACKAGE.glob("*.py"):
         names = set(_identifiers(_tree(path.name)))
         assert not names & {"_bridges", "_cycle_vertices_exact", "_any_cycle_witness",
                             "_long_cycle_vertices_general",
-                            "_instrumented_components"}, path.name
+                            "_instrumented_components", "_closed_walk_search",
+                            "_first_long_walk", "from_cluster"}, path.name
     tree = _tree("cycles.py")
     assert _callers(tree, "_blocks") == BLOCK_SEARCHES
     assert _callers(tree, "_edge_blocks") == {"long_cycle_vertex_count"}
@@ -107,8 +111,7 @@ def test_blocks_alone_compute_bridges():
                                            "shortest_long_cycle_through"}
     assert _callers(tree, "_long_cycle_in_block") <= BLOCK_SEARCHES | {
         "_block_cut", "vertex_in_long_cycle", "long_cycle_vertex_count"}
-    assert _callers(tree, "_closed_walk_search") == WALK_SEARCHES
-    assert _callers(tree, "_first_long_walk") == {"_long_cycle_in_block"}
+    assert _callers(tree, "_closed_walks") == WALK_SEARCHES
     assert _callers(tree, "_min_long_cycle_through") == {"shortest_long_cycle_through"}
 
 

@@ -27,6 +27,13 @@ class TestUsage:
         assert code == 2
         assert err.startswith("ERROR[runtime]:")
 
+    def test_box_estimate_with_spread_out_model_exits_2(self, capsys):
+        code, out, err = run_cli(["estimate", "two-point", "--d", "2", "--r", "7",
+                                  "--model", "spread-out", "--L", "2", "--p", "0.3",
+                                  "--seed", "1", "--replicas", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR[runtime]: ValueError:")
+
     def test_p_and_pcref_conflict(self, capsys):
         code, _, err = run_cli(["sample", "--d", "2", "--r", "3", "--p", "0.5",
                                 "--pc-ref", "--seed", "1"], capsys)

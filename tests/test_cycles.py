@@ -9,7 +9,7 @@ from torusperc import estimators as est
 from torusperc import oracle
 from torusperc.cluster import all_components, component_of
 from torusperc.cycles import (MalformedCycleError, OpenSubgraph, WorkBudget,
-                              _blocks, _edge_blocks, _feasible_vertices,
+                              _blocks, _closed_walks, _edge_blocks, _feasible_vertices,
                               _long_cycle_in_block,
                               cluster_contains_long_cycle, cut_sums, cycle_radius,
                               has_wrapping_cluster, is_long_cycle,
@@ -20,7 +20,7 @@ from torusperc.cycles import (MalformedCycleError, OpenSubgraph, WorkBudget,
 from torusperc.lattice import bfs, get_torus, torus_distance
 from torusperc.percolation import InstrumentationError, derive_seed, sample_config
 
-from conftest import config_from_edges, edge_of, wrap_line_edges
+from conftest import config_from_edges, edge_of, patch_edges, wrap_line_edges
 
 
 def vid(g, *c):
@@ -246,6 +246,60 @@ class TestBlocks:
             w = _long_cycle_in_block(block, WorkBudget(10**6), e=e)
             w.validate(g)
             assert w.long and e in w.edges
+
+
+@st.composite
+def walk_starts(draw):
+    """A d=2 torus of side 5 or 8, 12 to 20 open edges drawn from a 4 x 4
+    vertex patch or from the whole torus, and a start vertex, mostly one that
+    lies on a cycle."""
+    g = get_torus(2, draw(st.sampled_from([5, 8])))
+    pool = draw(st.sampled_from([patch_edges(g, 3, 3), list(range(g.num_edges))]))
+    edges = draw(st.lists(st.sampled_from(pool), min_size=12, max_size=20, unique=True))
+    sub = OpenSubgraph(g, edges)
+    on_cycles = sorted({v for c in oracle.enumerate_all_cycles(sub) for v in c.vertices})
+    starts = on_cycles if on_cycles and draw(st.integers(0, 3)) else sub.vertices
+    return sub, draw(st.sampled_from(starts or [0]))
+
+
+def _oracle_cycles_through(sub, x, keep=lambda c: True):
+    return {tuple(c.vertices[:-1]) for c in oracle.enumerate_all_cycles(sub)
+            if x in c.vertices and keep(c)}
+
+
+class TestClosedWalks:
+    @given(walk_starts())
+    @settings(max_examples=60, deadline=None)
+    def test_unpruned_walks_are_every_cycle_through_x(self, case):
+        sub, x = case
+        walks = list(_closed_walks(sub, x, WorkBudget(10**7)))
+        assert all(w[0] == w[-1] == x for w in walks)
+        assert ({oracle._canonical_closed_walk(w) for w in walks}
+                == _oracle_cycles_through(sub, x))
+
+    @given(walk_starts())
+    @settings(max_examples=60, deadline=None)
+    def test_min_vertex_keeps_the_cycles_whose_smallest_vertex_is_x(self, case):
+        sub, x = case
+        walks = list(_closed_walks(sub, x, WorkBudget(10**7), min_vertex=x))
+        assert all(min(w) == x for w in walks)
+        assert ({oracle._canonical_closed_walk(w) for w in walks}
+                == _oracle_cycles_through(sub, x, lambda c: min(c.vertices) == x))
+
+    @given(walk_starts(), st.integers(3, 12), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_cap_bounds_every_walk_when_it_is_yielded(self, case, k, rnd):
+        # with a fixed cap the walks are every cycle through x within it; a
+        # cap lowered between closures binds every later walk
+        sub, x = case
+        dist = bfs(x, sub.adj.__getitem__)[0] if x in sub.adj else {}
+        walks = list(_closed_walks(sub, x, WorkBudget(10**7), dist_to_x=dist, cap=[k]))
+        assert ({oracle._canonical_closed_walk(w) for w in walks}
+                == _oracle_cycles_through(sub, x, lambda c: c.length <= k))
+        cap = [k]
+        for w in _closed_walks(sub, x, WorkBudget(10**7), dist_to_x=dist, cap=cap):
+            assert len(w) - 1 <= cap[0]
+            cap[0] = rnd.randint(len(w) - 2, cap[0])
 
 
 class TestOpenSubgraphAdd:

@@ -99,6 +99,15 @@ class TestTrivialInputs:
                 est.est_mean_cluster_size(2, [4], p=0.3, replicas=2, seed=1,
                                           threads=threads)
 
+    def test_box_estimators_refuse_other_models(self):
+        # the hashed boxes are nearest-neighbor, so a spread-out request
+        # would report nearest-neighbor box rows under a spread-out label
+        with pytest.raises(ValueError, match="model"):
+            est.est_two_point(2, 7, p=0.3, model="spread-out", L=2, replicas=20, seed=3)
+        with pytest.raises(ValueError, match="model"):
+            est.est_ball_boundary_sum(2, [2], p=0.3, model="spread-out", L=2,
+                                      replicas=5, seed=3)
+
 
 class TestLckMonotone:
     def test_prob_nondecreasing_in_k(self):

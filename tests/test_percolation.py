@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from torusperc.lattice import build_box
+from torusperc.lattice import build_box, get_torus
 from torusperc.percolation import (BondConfig, InstrumentationError,
                                    UnknownCriticalPointError, calibrate_pc_scan,
-                                   derive_seed, pc_reference, sample_config)
+                                   derive_seed, pc_reference, replica_rng,
+                                   sample_config)
 
 
 class TestSampling:
@@ -23,6 +26,22 @@ class TestSampling:
         assert a.packed_bytes() == b.packed_bytes()
         c = sample_config(g23, 0.37, 123456790)
         assert a.packed_bytes() != c.packed_bytes()
+
+    def test_chunked_draw_equals_one_draw(self):
+        # 2,114,907 edges: more than one chunk, and no multiple of 8
+        g = get_torus(3, 89)
+        want = np.packbits(replica_rng(5).random(g.num_edges) < 0.3, bitorder="little")
+        assert sample_config(g, 0.3, 5).packed_bytes() == want.tobytes()
+
+    def test_sampling_never_holds_one_float_per_edge(self):
+        g = get_torus(7, 8)
+        tracemalloc.start()
+        try:
+            sample_config(g, 0.3, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.num_edges / 4
 
     def test_derived_seeds_differ(self):
         seeds = {derive_seed(7, i) for i in range(100)}
