@@ -53,7 +53,9 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=None, help="master seed")
         sp.add_argument("--budget", type=int, default=_cycles.DEFAULT_BUDGET,
                         help="search budget per query (node expansions)")
-        sp.add_argument("--threads", type=int, default=1, help="worker count")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker processes at most; an estimate cheaper "
+                             "than a process-pool start runs in-process")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=["csv", "jsonl"], default=None)
         sp.add_argument("--no-header-meta", action="store_true",

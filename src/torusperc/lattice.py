@@ -198,7 +198,12 @@ class TorusGeometry:
         return None
 
     def incident_edges(self, v) -> tuple[np.ndarray, np.ndarray]:
-        """(edge ids ascending, matching other endpoints) for vertex v.
+        """(edge ids ascending, matching other endpoints) for vertex v."""
+        eids, others = zip(*self._incident_pairs(v))
+        return np.array(eids, dtype=np.int64), np.array(others, dtype=np.int64)
+
+    def _incident_pairs(self, v) -> list[tuple[int, int]]:
+        """(edge id, other endpoint) pairs at v as Python ints, ids ascending.
 
         v is the base of its outgoing edges v*K + j.  The base of its j-th
         incoming edge is v shifted by -offsets[j].  For nearest-neighbor
@@ -208,22 +213,19 @@ class TorusGeometry:
         """
         v = _vertex_id(self, v)
         K, r = self.num_offsets, self.r
-        if self.model == NEAREST_NEIGHBOR:
-            below, outgoing, above = [], [], []
-            for j, s in enumerate(self._steps):
-                digit = v // s % r
-                outgoing.append((v * K + j, v + s - (digit == r - 1) * r * s))
-                b = v - s + (digit == 0) * r * s
-                (above if b > v else below).append((b * K + j, b))
-            pairs = below[::-1] + outgoing + above
-        else:
+        if self.model != NEAREST_NEIGHBOR:
             coords = self.vertex_coords(v)
             outs = self.vertex_index(coords + self.offsets).tolist()
             ins = self.vertex_index(coords - self.offsets).tolist()
-            pairs = sorted([(v * K + j, w) for j, w in enumerate(outs)]
-                           + [(b * K + j, b) for j, b in enumerate(ins)])
-        eids, others = zip(*pairs)
-        return np.array(eids, dtype=np.int64), np.array(others, dtype=np.int64)
+            return sorted([(v * K + j, w) for j, w in enumerate(outs)]
+                          + [(b * K + j, b) for j, b in enumerate(ins)])
+        below, outgoing, above = [], [], []
+        for j, s in enumerate(self._steps):
+            digit = v // s % r
+            outgoing.append((v * K + j, v + s - (digit == r - 1) * r * s))
+            b = v - s + (digit == 0) * r * s
+            (above if b > v else below).append((b * K + j, b))
+        return below[::-1] + outgoing + above
 
     def neighbors(self, v) -> np.ndarray:
         return self.incident_edges(v)[1]
@@ -414,6 +416,10 @@ class BoxGeometry:
         v = _vertex_id(self, v)
         lo, hi = self._inc_ptr[v], self._inc_ptr[v + 1]
         return self._inc_eids[lo:hi], self._inc_others[lo:hi]
+
+    def _incident_pairs(self, v) -> list[tuple[int, int]]:
+        eids, others = self.incident_edges(v)
+        return list(zip(eids.tolist(), others.tolist()))
 
     def neighbors(self, v) -> np.ndarray:
         return self.incident_edges(v)[1]

@@ -87,12 +87,11 @@ class BondConfig:
         Instrumented configs read every incident status through `is_open`, so
         a traversal built on this stays inside the read log.
         """
-        eids, others = self.geometry.incident_edges(v)
+        pairs = self.geometry._incident_pairs(v)
         if self.read_log is not None:
-            return [(e, w) for e, w in zip(eids.tolist(), others.tolist())
-                    if self.is_open(e)]
-        sel = self.open_mask()[eids]
-        return list(zip(eids[sel].tolist(), others[sel].tolist()))
+            return [(e, w) for e, w in pairs if self.is_open(e)]
+        mask = self.open_mask()
+        return [(e, w) for e, w in pairs if mask[e]]
 
     def peek_open(self, e) -> bool:
         """Status check that bypasses the read log (validation and tests only)."""

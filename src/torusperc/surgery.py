@@ -127,7 +127,7 @@ def depth_first_explore(cfg: BondConfig, root: int,
     E: list[int] = []
     U: list[int] = []
     T: list[int] = []
-    incident = {root: g.incident_edges(root)}
+    incident = {root: g._incident_pairs(root)}
     ptr = {root: 0}
     stack = [root]
     # for invariant checking: per-X-vertex count of incident edges not yet in W,
@@ -136,7 +136,7 @@ def depth_first_explore(cfg: BondConfig, root: int,
     extendable: set[int] = set()
     on_stack: set[int] = set()
     if check_invariants:
-        pending[root] = len(incident[root][0])
+        pending[root] = len(incident[root])
         extendable.add(root)
         on_stack.add(root)
 
@@ -149,19 +149,19 @@ def depth_first_explore(cfg: BondConfig, root: int,
 
     while stack:
         a = stack[-1]
-        eids, others = incident[a]
+        pairs = incident[a]
         i = ptr[a]
-        while i < len(eids) and int(eids[i]) in W:
+        while i < len(pairs) and pairs[i][0] in W:
             i += 1
         ptr[a] = i
-        if i == len(eids):
+        if i == len(pairs):
             stack.pop()
             if check_invariants:
                 on_stack.discard(a)
             continue
         if check_invariants:
             _assert_unique_deepest(extendable, on_stack, depth, a)
-        e, b = int(eids[i]), int(others[i])
+        e, b = pairs[i]
         W.add(e)
         if check_invariants:
             note_in_w(e, a, b)
@@ -175,11 +175,11 @@ def depth_first_explore(cfg: BondConfig, root: int,
             parent[b] = (a, e)
             depth[b] = depth[a] + 1
             T.append(e)
-            incident[b] = g.incident_edges(b)
+            incident[b] = g._incident_pairs(b)
             ptr[b] = 0
             stack.append(b)
             if check_invariants:
-                cnt = sum(1 for f in incident[b][0] if int(f) not in W)
+                cnt = sum(1 for f, _ in incident[b] if f not in W)
                 pending[b] = cnt
                 if cnt > 0:
                     extendable.add(b)

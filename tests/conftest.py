@@ -53,3 +53,11 @@ def g28():
 @pytest.fixture
 def g23():
     return get_torus(2, 3)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Make any process pool start in the estimators fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr("torusperc.estimators.ProcessPoolExecutor", refuse)

@@ -1,7 +1,8 @@
 """Module boundaries, checked on the source: only `cycles` knows the
 long-cycle threshold, its private names stay inside it, its per-edge-step
 kernels never go through coordinates, its long-cycle searches run block by
-block, and the hashed box traverses through the shared BFS."""
+block, the hashed box traverses through the shared BFS, and one dispatch
+loop alone starts process pools."""
 import ast
 from pathlib import Path
 
@@ -120,3 +121,11 @@ def test_hashed_box_traverses_only_through_bfs():
               if isinstance(node, ast.ClassDef) and node.name == "_HashedBox"]
     assert "bfs" in {_called(c) for c in ast.walk(box) if isinstance(c, ast.Call)}
     assert not any(isinstance(node, ast.While) for node in ast.walk(box))
+
+
+def test_only_map_replicas_starts_a_pool():
+    # every process pool is started, and joined, inside one estimator
+    # dispatch loop, which runs cheap calls without one
+    starters = {(path.name, caller) for path in PACKAGE.glob("*.py")
+                for caller in _callers(_tree(path.name), "ProcessPoolExecutor")}
+    assert starters == {("estimators.py", "_map_replicas")}

@@ -233,9 +233,57 @@ class TestExhaustiveCrossChecks:
         assert abs(row.mean - exact) <= 3 * max(row.stderr, 1e-9)
 
 
+def _fail_third(args):
+    i, = args
+    if i == 2:
+        raise ValueError("task 2 failed")
+    return i
+
+
+class TestDispatch:
+    def test_cheap_call_starts_no_pool(self, monkeypatch, no_pool):
+        monkeypatch.setattr(est, "_POOL_AFTER_S", 1e9)
+        kw = dict(p=0.2487, replicas=6, seed=42)
+        assert (est.est_vertex_long_cycle(3, [4, 5], threads=4, **kw).to_csv()
+                == est.est_vertex_long_cycle(3, [4, 5], threads=1, **kw).to_csv())
+
+    def test_pool_size_is_capped_by_tasks_left(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """In-process stand-in for ProcessPoolExecutor."""
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(est, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(est, "ProcessPoolExecutor", RecordingPool)
+        # 4 tasks: the first runs in-process, the other 3 in the pool
+        out = est._map_replicas(lambda a: a, [("x",), ("y",)], 2, threads=8)
+        assert out == [[(0, "x"), (1, "x")], [(0, "y"), (1, "y")]]
+        est._map_replicas(lambda a: a, [("x",)], 10, threads=2)
+        est._map_replicas(lambda a: a, [("x",)], 1, threads=4)   # no task left
+        assert sizes == [3, 2]
+
+    def test_pooled_task_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(est, "_POOL_AFTER_S", 0)
+        with pytest.raises(ValueError, match="task 2 failed"):
+            est._map_replicas(_fail_third, [()], 4, threads=2)
+
+
 class TestDeterminism:
-    def test_thread_count_invariance(self):
-        # every estimator, multi-size ones with all their sizes in one pool
+    def test_thread_count_invariance(self, monkeypatch):
+        # every estimator, multi-size ones with all their sizes in one pool;
+        # with no pool-start gate, every call with threads > 1 runs its
+        # first task in-process and the rest in a pool
         calls = [
             (est.est_vertex_long_cycle, (3, [4, 5]), dict(p=0.2487, replicas=24)),
             (est.est_cycle_cut, (3, [4, 5], [0.5, 1.0]), dict(p=0.2487, replicas=6)),
@@ -250,8 +298,11 @@ class TestDeterminism:
         ]
         for fn, args, kwargs in calls:
             kwargs = {"seed": 42, **kwargs}
-            csvs = [fn(*args, threads=t, **kwargs).to_csv() for t in (1, 2, 4)]
-            assert csvs[0] == csvs[1] == csvs[2], fn.__name__
+            serial = fn(*args, threads=1, **kwargs).to_csv()
+            with monkeypatch.context() as m:
+                m.setattr(est, "_POOL_AFTER_S", 0)
+                pooled = [fn(*args, threads=t, **kwargs).to_csv() for t in (2, 4)]
+            assert serial == pooled[0] == pooled[1], fn.__name__
 
     def test_seed_reproducibility(self):
         a = est.est_cycle_cut(3, [4], [1.0], p=0.2487, replicas=20, seed=7)
