@@ -165,9 +165,9 @@ def _resolve_p(p, d, model, L):
     return row.p_c, row.source
 
 
-#: Seconds to start and join a small process pool, the first task of each
-#: fresh worker included (measured 9-15 ms wall and 14-18 ms CPU for two
-#: workers); `_map_replicas` starts a pool only for work projected to cost more.
+#: Seconds to start and join a small process pool (7-14 ms wall and 12-23 ms
+#: CPU for two workers on 2 CPUs, and each fresh worker's first task runs 2-5 ms
+#: slower); `_map_replicas` starts a pool only for work projected to cost more.
 _POOL_AFTER_S = 0.02
 
 

@@ -284,6 +284,7 @@ class TestDeterminism:
         # every estimator, multi-size ones with all their sizes in one pool;
         # with no pool-start gate, every call with threads > 1 runs its
         # first task in-process and the rest in a pool
+        monkeypatch.setattr(est, "_POOL_AFTER_S", 0)
         calls = [
             (est.est_vertex_long_cycle, (3, [4, 5]), dict(p=0.2487, replicas=24)),
             (est.est_cycle_cut, (3, [4, 5], [0.5, 1.0]), dict(p=0.2487, replicas=6)),
@@ -298,11 +299,8 @@ class TestDeterminism:
         ]
         for fn, args, kwargs in calls:
             kwargs = {"seed": 42, **kwargs}
-            serial = fn(*args, threads=1, **kwargs).to_csv()
-            with monkeypatch.context() as m:
-                m.setattr(est, "_POOL_AFTER_S", 0)
-                pooled = [fn(*args, threads=t, **kwargs).to_csv() for t in (2, 4)]
-            assert serial == pooled[0] == pooled[1], fn.__name__
+            csvs = [fn(*args, threads=t, **kwargs).to_csv() for t in (1, 2, 4)]
+            assert csvs[0] == csvs[1] == csvs[2], fn.__name__
 
     def test_seed_reproducibility(self):
         a = est.est_cycle_cut(3, [4], [1.0], p=0.2487, replicas=20, seed=7)
