@@ -53,12 +53,12 @@ class ComponentMap:
     """Label-based view of all open clusters, for bulk statistics.
 
     The open edges (`_open_ids`, ascending) and their endpoints (`_uv`) stay
-    with the labels, so the long-cycle vertex count splits every cyclic
-    cluster from them in one array pass.  `roots` (the smallest vertex of
-    each cluster) and `order` are computed on first use: the estimator
-    replicas read neither.  `order` ranks clusters by size descending with
-    ties broken by the smallest vertex id they contain, matching the sort
-    contract of all_components.
+    with the labels, to list each cluster's edges.  The long-cycle vertex
+    count reads no map: it peels the open edges to their 2-core itself.
+    `roots` (the smallest vertex of each cluster) and `order` are computed on
+    first use: the estimator replicas read neither.  `order` ranks clusters
+    by size descending with ties broken by the smallest vertex id they
+    contain, matching the sort contract of all_components.
     """
 
     def __init__(self, cfg: BondConfig):

@@ -9,11 +9,14 @@ A cycle uses no bridge and is connected, so it lies inside one
 2-edge-connected block of its cluster.  Every search runs on one block.  The
 blocks of one subgraph come from the chord cycles of one BFS spanning forest
 (`_blocks`).  The vertex count splits every cluster of a configuration at
-once, so it takes its blocks from `_edge_blocks`, the same split in a few
-numpy/scipy passes over the whole open edge list.  Those passes cost a fixed
-millisecond or so per call, more than `_blocks` takes on one surgery graph of
-a hundred-odd vertices, and several times less than per-cluster subgraphs and
-`_blocks` take on a whole configuration at d=7 (figures in BENCH_12.json).
+once.  A cycle uses no vertex of degree one, so it first peels the open edges
+down to their 2-core (`_two_core`), and reads no component map; then
+`_edge_blocks` gives the core's blocks and components, the same split in a
+few numpy/scipy passes over an edge list, and `_group_reach` the reach of
+every block in one array pass.  Those passes cost a fixed millisecond or so
+per call, more than `_blocks` takes on one surgery graph of a hundred-odd
+vertices, and several times less than per-cluster subgraphs and `_blocks`
+take on a whole configuration at d=7 (figures in BENCH_12.json).
 The vertex count, the vertex query, containment, the surgery's edge
 decisions and the minimum cut (the sum of the blocks' cuts) find their
 cycles through `_long_cycle_in_block`; the length-bounded query searches x's
@@ -186,6 +189,26 @@ def _sup_reach(g: TorusGeometry, verts) -> list[int]:
     return [max(row) for row in zip(*per_axis)]
 
 
+def _group_reach(g: TorusGeometry, group: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Per entry, the largest torus sup-distance from its vertex to any vertex
+    of its group: `_sup_reach` of every group at once, in one array pass.
+
+    Per group and axis, an occupancy mask over the r coordinates (mixed-radix
+    digits) times the r x r table of circular distances gives each
+    coordinate's distance to the farthest occupied one.
+    """
+    r, d = g.r, g.d
+    c = np.arange(r)
+    gap = np.abs(c[:, None] - c)
+    dist = np.minimum(gap, r - gap).astype(np.min_scalar_type(r // 2))
+    # one cell per (group, axis, coordinate)
+    cells = (group[:, None] * d + np.arange(d)) * r + verts[:, None] // r ** np.arange(d) % r
+    occupied = np.zeros((int(group.max(initial=-1)) + 1) * d * r, dtype=bool)
+    occupied[cells] = True
+    far = (occupied.reshape(-1, 1, r) * dist).max(axis=-1)
+    return far.ravel()[cells].max(axis=1)
+
+
 def cycle_radius(g: TorusGeometry, vertices) -> int:
     """min over cycle vertices u of max over cycle vertices v of sup-distance."""
     return min(_sup_reach(g, {int(v) for v in vertices}), default=0)
@@ -319,41 +342,78 @@ def _blocks(sub: OpenSubgraph) -> list[tuple[set[int], list[int]]]:
                   key=lambda block: block[1][0])
 
 
-def _edge_blocks(uv: np.ndarray) -> np.ndarray:
-    """Per row of an (E, 2) endpoint array, its 2-edge-connected block, -1 for
-    a bridge; blocks are numbered in the order of their first rows.
+def _two_core(uv: np.ndarray, num_vertices: int) -> np.ndarray:
+    """The rows of an (E, 2) endpoint array that lie in its 2-core, ascending.
+
+    A cycle uses no vertex of degree one, so every cycle lies in the 2-core,
+    the largest subgraph of minimum degree two.  Each round deletes, one leaf
+    layer at a time, every row with an endpoint of degree one, until none is
+    left (the core of Batagelj and Zaversnik 2003, peeled in layers).
+    """
+    deg = np.bincount(uv.ravel(), minlength=num_vertices)
+    # the narrowest degree type gathers fastest; the step has the same type,
+    # which keeps `subtract.at` on its fast path
+    deg = deg.astype(np.min_scalar_type(deg.max(initial=0)))
+    one = deg.dtype.type(1)
+    rows = np.arange(len(uv))
+    u, v = uv[:, 0], uv[:, 1]
+    while len(rows):
+        leaf = (deg[u] == 1) | (deg[v] == 1)
+        gone = np.flatnonzero(leaf)
+        if not len(gone):
+            break
+        np.subtract.at(deg, u[gone], one)
+        np.subtract.at(deg, v[gone], one)
+        keep = np.flatnonzero(~leaf)
+        rows, u, v = rows[keep], u[keep], v[keep]
+    return rows
+
+
+def _csr(indices: np.ndarray, indptr: np.ndarray, n: int):
+    """An n x n CSR adjacency matrix in the form csgraph reads without a copy:
+    float64 data and int32 indices."""
+    from scipy import sparse
+    return sparse.csr_matrix((np.ones(len(indices)), indices.astype(np.int32),
+                              indptr.astype(np.int32)), shape=(n, n))
+
+
+def _edge_blocks(uv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an (E, 2) endpoint array, its 2-edge-connected block (-1 for
+    a bridge) and its connected component; blocks are numbered in the order of
+    their first rows, components in the order of their smallest vertices.
 
     The array form of `_blocks`, for a whole configuration at once.  A forest
     edge is a bridge exactly when no chord's forest path covers it (Tarjan
     1974).  The forest is one BFS from a virtual root joined to the smallest
     vertex of each component; all chords lift together, one level per step,
-    to their lowest common ancestors; and per vertex, the chord ends there
-    minus twice the ancestors there, summed over its subtree level by level,
-    counts the chords that cover the edge to its parent.  The blocks are the
-    components of the other edges.
+    to their lowest common ancestors, marking the forest edges they cover.
+    The covered forest edges join each block into one subtree (a spanning
+    tree less the bridges spans each 2-edge-connected component), so pointer
+    jumping up them names every block by its top vertex.
     """
-    from scipy import sparse
     from scipy.sparse import csgraph
 
     rows = len(uv)
     if not rows:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     verts, ends = np.unique(uv, return_inverse=True)
     n = len(verts)
     a, b = ends.reshape(rows, 2).T
-    both = sparse.csr_matrix((np.ones(2 * rows, dtype=np.int8),
-                              (np.concatenate([a, b]), np.concatenate([b, a]))),
-                             shape=(n, n))
-    # verts ascend, so each component's first compact id is its smallest vertex
-    tops = np.unique(csgraph.connected_components(both, connection="strong")[1],
-                     return_index=True)[1]
-    joined = sparse.csr_matrix(
-        (np.ones(both.nnz + len(tops), dtype=np.int8),
-         np.concatenate([both.indices, tops]), np.append(both.indptr, both.nnz + len(tops))),
-        shape=(n + 1, n + 1))
-    del both
-    order, parent = csgraph.breadth_first_order(joined, n)
-    del joined
+    src = np.concatenate([a, b])
+    by_src = np.argsort(src, kind="stable")
+    indices = np.concatenate([b, a])[by_src]
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:n + 1])
+    # verts ascend, so each component's first compact id is its smallest vertex;
+    # the symmetric matrix's strong components are its components
+    _, comp = csgraph.connected_components(_csr(indices, indptr[:n + 1], n),
+                                           connection="strong")
+    tops = np.unique(comp, return_index=True)[1]
+    comp_rank = np.empty_like(tops)
+    comp_rank[np.argsort(tops)] = np.arange(len(tops))
+    indptr[n + 1] = 2 * rows + len(tops)
+    order, parent = csgraph.breadth_first_order(
+        _csr(np.concatenate([indices, tops]), indptr, n + 1), n)
     # BFS order is level order and the places of the parents never decrease,
     # so each level ends where the parents leave the level above
     place = np.empty(n + 1, dtype=np.int64)
@@ -369,35 +429,38 @@ def _edge_blocks(uv: np.ndarray) -> np.ndarray:
     first = np.unique(child, return_index=True)[1]
     is_tree = np.zeros(rows, dtype=bool)
     is_tree[first[child[first] >= 0]] = True
+    # the chords lift their ends to their lowest common ancestors, marking
+    # each forest edge they cross as covered
+    covered = np.zeros(n + 1, dtype=bool)
     x, y = a[~is_tree], b[~is_tree]
-    cover = np.bincount(x, minlength=n + 1) + np.bincount(y, minlength=n + 1)
     deeper = depth[x] < depth[y]
     x, y = np.where(deeper, y, x), np.where(deeper, x, y)
     live = np.flatnonzero(depth[x] > depth[y])
     while len(live):
-        x[live] = parent[x[live]]
+        lifted = x[live]
+        covered[lifted] = True
+        x[live] = parent[lifted]
         live = live[depth[x[live]] > depth[y[live]]]
     live = np.flatnonzero(x != y)
     while len(live):
-        x[live] = parent[x[live]]
-        y[live] = parent[y[live]]
+        xs, ys = x[live], y[live]
+        covered[xs] = covered[ys] = True
+        x[live], y[live] = parent[xs], parent[ys]
         live = live[x[live] != y[live]]
-    cover -= 2 * np.bincount(x, minlength=n + 1)
-    for lo, hi in zip(cuts[-2:1:-1], cuts[:2:-1]):
-        kids = order[lo:hi]
-        np.add.at(cover, parent[kids], cover[kids])
     keep = ~is_tree
-    keep[is_tree] = cover[child[is_tree]] > 0
+    keep[is_tree] = covered[child[is_tree]]
+    up = np.where(covered, parent, np.arange(n + 1))
+    while True:
+        higher = up[up]
+        if np.array_equal(higher, up):
+            break
+        up = higher
+    _, first, inverse = np.unique(up[a[keep]], return_index=True, return_inverse=True)
+    block_rank = np.empty(len(first), dtype=np.int64)
+    block_rank[np.argsort(first)] = np.arange(len(first))
     label = np.full(rows, -1, dtype=np.int64)
-    if keep.any():
-        x, y = a[keep], b[keep]
-        rest = sparse.csr_matrix((np.ones(len(x), dtype=np.int8), (x, y)), shape=(n, n))
-        home = csgraph.connected_components(rest, directed=False)[1][x]
-        _, first, inverse = np.unique(home, return_index=True, return_inverse=True)
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(first))
-        label[keep] = rank[inverse]
-    return label
+    label[keep] = block_rank[inverse]
+    return label, comp_rank[comp[a]]
 
 
 def _lift_forest(sub: OpenSubgraph, budget: WorkBudget):
@@ -694,60 +757,67 @@ def long_cycle_vertex_count(cfg: BondConfig,
                             budget: int = DEFAULT_BUDGET) -> tuple[int, bool]:
     """Number of vertices with a definite Yes; flag set if any query was Unknown.
 
-    The blocks of every cluster with a cycle come from one `_edge_blocks`
-    call over the component map's open edges.  The budget applies per
-    cluster, which is first charged its edge count, and each of its
-    2-edge-connected blocks is decided on its own from the reach of its
-    vertices inside the block, with t = floor(r/4).  When every cycle is long,
-    every block vertex counts.  Otherwise a vertex of reach below t is on no
-    long cycle, one of reach at least 2t - 1 is on one, and only the vertices
-    between are searched, each one not yet met on a witness, with the block's
-    prune and wrapping cycle computed once.  Trees are skipped outright.
+    Every cycle lies in the 2-core, so the open edges are peeled down to it
+    (`_two_core`), and one `_edge_blocks` call splits the core into its
+    2-edge-connected blocks and its components.  A core component is the
+    core of one cluster with a cycle.  The budget applies per core component,
+    which is first charged its edge count, and each of its blocks is decided
+    on its own from the reach of its vertices inside the block, with
+    t = floor(r/4); `_group_reach` gives every block's reach in one pass.
+    When every cycle is long, every block vertex counts.  Otherwise a vertex
+    of reach below t is on no long cycle, one of reach at least 2t - 1 is on
+    one, and only the vertices between are searched, each one not yet met on
+    a witness, with the block's prune and wrapping cycle computed once.
     """
     g = cfg.geometry
     t = long_cycle_threshold(g)
-    cm = _cluster.component_map(cfg)
-    cyclic = cm.surplus >= 1
-    over = cyclic & (cm.edge_counts > budget)        # the first charge fails
-    rows = (cyclic & ~over)[cm.labels[cm._uv[:, 0]]]
-    uv = cm._uv[rows]
-    blocks = _edge_blocks(uv)
-    on = blocks >= 0
+    V = g.num_vertices
+    eids = np.flatnonzero(cfg.open_mask())
+    uv = g.endpoints(eids)
+    core = _two_core(uv, V)
+    eids, uv = eids[core], uv[core]
+    blocks, comps = _edge_blocks(uv)
+    edge_counts = np.bincount(comps)
+    over = edge_counts > budget                     # the first charge fails
     unknown = bool(over.any())
+    on = blocks >= 0
     if _all_cycles_long(g):
-        return len(np.unique(uv[on])), unknown
-    blocks, eids, uv = blocks[on], cm._open_ids[rows][on], uv[on]
-    num = int(blocks.max()) + 1 if len(blocks) else 0
+        return len(np.unique(uv[on & ~over[comps]])), unknown
+    blocks, eids, uv, comps = blocks[on], eids[on], uv[on], comps[on]
+    num = int(blocks.max(initial=-1)) + 1
     # each block's edges and vertices, sorted, as slices of two flat arrays
     eids = eids[np.argsort(blocks, kind="stable")]
-    edge_ptr = np.concatenate([[0], np.cumsum(np.bincount(blocks, minlength=num))])
-    V = g.num_vertices
-    keys = np.unique(np.repeat(blocks, 2) * V + uv.ravel())
-    verts = keys % V
-    vert_ptr = np.searchsorted(keys // V, np.arange(num + 1))
+    edge_ptr = np.concatenate([[0], np.cumsum(np.bincount(blocks, minlength=num))]).tolist()
+    group, verts = np.divmod(np.unique(np.repeat(blocks, 2) * V + uv.ravel()), V)
+    vert_ptr = np.searchsorted(group, np.arange(num + 1)).tolist()
+    reach = _group_reach(g, group, verts)
+    sure = np.bincount(group[reach >= 2 * t - 1], minlength=num).tolist()
+    todo = np.bincount(group[(reach >= t) & (reach < 2 * t - 1)], minlength=num).tolist()
     home = np.empty(num, dtype=np.int64)
-    home[blocks] = cm.labels[uv[:, 0]]
+    home[blocks] = comps
     count = 0
     for lab, ks in itertools.groupby(np.argsort(home, kind="stable").tolist(),
                                      key=home.__getitem__):
         b = WorkBudget(budget)
         try:
-            b.charge(int(cm.edge_counts[lab]))
+            b.charge(int(edge_counts[lab]))
             for k in ks:
-                block_verts = verts[vert_ptr[k]:vert_ptr[k + 1]].tolist()
-                b.charge(len(block_verts))
-                reach = _sup_reach(g, block_verts)
-                yes = {x for x, far in zip(block_verts, reach) if far >= 2 * t - 1}
-                feasible = {x for x, far in zip(block_verts, reach) if far >= t}
-                todo = sorted(feasible - yes)
-                if todo:
-                    block = OpenSubgraph(g, eids[edge_ptr[k]:edge_ptr[k + 1]])
-                    prune = _block_prune(block, b, feasible=feasible)
-                    for x in todo:
-                        if x not in yes:
-                            found = _long_cycle_in_block(block, b, x=x, prune=prune)
-                            if found is not None:
-                                yes.update(found.vertices)
+                lo, hi = vert_ptr[k], vert_ptr[k + 1]
+                b.charge(hi - lo)
+                if not todo[k]:
+                    count += sure[k]
+                    continue
+                block_verts = verts[lo:hi].tolist()
+                far = reach[lo:hi].tolist()
+                yes = {x for x, f in zip(block_verts, far) if f >= 2 * t - 1}
+                feasible = {x for x, f in zip(block_verts, far) if f >= t}
+                block = OpenSubgraph(g, eids[edge_ptr[k]:edge_ptr[k + 1]])
+                prune = _block_prune(block, b, feasible=feasible)
+                for x in sorted(feasible - yes):
+                    if x not in yes:
+                        found = _long_cycle_in_block(block, b, x=x, prune=prune)
+                        if found is not None:
+                            yes.update(found.vertices)
                 count += len(yes)
         except BudgetExhausted:
             unknown = True

@@ -197,6 +197,17 @@ def _map_replicas(worker, commons: list[tuple], replicas: int, threads: int) -> 
     return [flat[k * replicas:(k + 1) * replicas] for k in range(len(commons))]
 
 
+def _check_call(replicas, **values) -> None:
+    """Refuse a call that would report no row, or rows over no replica: every
+    list of sizes, k, deltas, eps values or offsets must be nonempty, and
+    replicas at least 1."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas!r}")
+    for name, vals in values.items():
+        if not vals:
+            raise ValueError(f"need at least one {name}")
+
+
 def _base_meta(quantity, d, model, L, p, p_source, replicas, seed, budget) -> dict:
     meta = {"quantity": quantity, "d": d, "model": model, "p": p,
             "p_source": p_source, "replicas_requested": replicas, "seed": seed,
@@ -235,8 +246,7 @@ def est_vertex_long_cycle(d, r_values, *, model=NEAREST_NEIGHBOR, L=1, p=None,
     targets V^(-2/3).
     """
     r_values = sorted(int(r) for r in r_values)
-    if not r_values:
-        raise ValueError("need at least one size")
+    _check_call(replicas, size=r_values)
     p_val, p_source = _resolve_p(p, d, model, L)
     report = EstimateReport(meta=_base_meta("vertex-long-cycle", d, model, L,
                                             p_val, p_source, replicas, seed, budget))
@@ -289,6 +299,7 @@ def est_cycle_cut(d, r_values, delta_values=(0.5, 1.0, 2.0), *,
     """
     r_values = sorted(int(r) for r in r_values)
     deltas = [float(x) for x in delta_values]
+    _check_call(replicas, size=r_values, delta=deltas)
     if any(x <= 0 for x in deltas):
         raise ValueError("delta values must be positive")
     p_val, p_source = _resolve_p(p, d, model, L)
@@ -335,6 +346,7 @@ def est_mean_cluster_size(d, r_values, *, model=NEAREST_NEIGHBOR, L=1, p=None,
                           replicas=300, seed=0, threads=1) -> EstimateReport:
     """Mean origin-cluster size and its V^(-1/3)-scaled version per size."""
     r_values = sorted(int(r) for r in r_values)
+    _check_call(replicas, size=r_values)
     p_val, p_source = _resolve_p(p, d, model, L)
     report = EstimateReport(meta=_base_meta("cluster-size", d, model, L, p_val,
                                             p_source, replicas, seed, None))
@@ -388,8 +400,7 @@ def est_cycle_length_profile(d, r, k_values, *, model=NEAREST_NEIGHBOR, L=1,
     bounds predict to stay within a constant band over the middle window.
     """
     k_values = sorted(int(k) for k in k_values)
-    if not k_values:
-        raise ValueError("need at least one k")
+    _check_call(replicas, k=k_values)
     p_val, p_source = _resolve_p(p, d, model, L)
     report = EstimateReport(meta=_base_meta("cycle-length", d, model, L, p_val,
                                             p_source, replicas, seed, budget))
@@ -437,6 +448,7 @@ def est_long_cycle_tail(d, r, eps_values, *, model=NEAREST_NEIGHBOR, L=1, p=None
     at least l/(2d) vertices on long cycles), which upper-bounds the event.
     """
     eps_values = [float(e) for e in eps_values]
+    _check_call(replicas, eps=eps_values)
     if any(e <= 0 for e in eps_values):
         raise ValueError("eps values must be positive")
     p_val, p_source = _resolve_p(p, d, model, L)
@@ -499,18 +511,26 @@ class _HashedBox:
         return h < self.threshold
 
     def explore(self) -> dict[tuple, int]:
-        """BFS cluster of the origin; returns coords -> intrinsic distance."""
+        """BFS cluster of the origin; returns coords -> intrinsic distance.
+
+        A neighbour already reached is skipped before its edge is hashed:
+        the search would ignore it anyway, so each edge is hashed at most
+        once, from the first of its ends to be expanded.
+        """
         n = self.n
+        origin = (0,) * self.d
+        reached = {origin}
 
         def step(v):
             for axis in range(self.d):
                 for sign in (1, -1):
                     if -n <= v[axis] + sign <= n:
                         w = v[:axis] + (v[axis] + sign,) + v[axis + 1:]
-                        if self.edge_open(v if sign > 0 else w, axis):
+                        if w not in reached and self.edge_open(v if sign > 0 else w, axis):
+                            reached.add(w)
                             yield None, w
 
-        return bfs((0,) * self.d, step)[0]
+        return bfs(origin, step)[0]
 
 
 def _box_model(quantity, model):
@@ -538,6 +558,7 @@ def est_ball_boundary_sum(d, n_values, *, p=None, model=NEAREST_NEIGHBOR, L=1,
     """
     _box_model("ball-boundary", model)
     n_values = sorted(int(n) for n in n_values)
+    _check_call(replicas, size=n_values)
     if any(n < 1 for n in n_values):
         raise ValueError("box radius must be >= 1")
     p_val, p_source = _resolve_p(p, d, model, L)
@@ -586,8 +607,7 @@ def est_two_point(d, r, *, model=NEAREST_NEIGHBOR, L=1, p=None, replicas=300,
     if max_offset is None:
         max_offset = r // 2
     offsets = list(range(1, max_offset + 1))
-    if not offsets:
-        raise ValueError("torus too small for a two-point profile")
+    _check_call(replicas, offset=offsets)
     p_val, p_source = _resolve_p(p, d, model, L)
     report = EstimateReport(meta=_base_meta("two-point", d, model, L, p_val,
                                             p_source, replicas, seed, None))

@@ -55,7 +55,7 @@ def test_no_private_cycles_names_outside_cycles():
 #: Per-edge-step and radius kernels: displacements come from `edge_offset`
 #: and coordinates from mixed-radix digits, never from a numpy call per step.
 COORDINATE_FREE = {"from_vertices", "_lift_forest", "_wrap_cycle_witness",
-                   "_feasible_vertices", "cycle_radius", "_sup_reach"}
+                   "_feasible_vertices", "cycle_radius", "_sup_reach", "_group_reach"}
 
 
 def _called(node):
@@ -114,6 +114,17 @@ def test_blocks_alone_compute_bridges():
         "_block_cut", "vertex_in_long_cycle", "long_cycle_vertex_count"}
     assert _callers(tree, "_closed_walks") == WALK_SEARCHES
     assert _callers(tree, "_min_long_cycle_through") == {"shortest_long_cycle_through"}
+
+
+def test_count_reads_the_two_core_without_a_component_map():
+    # the vertex count peels the open edges to their 2-core and takes every
+    # block's reach in one array pass; the scalar reach serves the radius
+    # and the feasibility prune alone
+    tree = _tree("cycles.py")
+    assert _callers(tree, "_two_core") == {"long_cycle_vertex_count"}
+    assert "long_cycle_vertex_count" not in _callers(tree, "component_map")
+    assert _callers(tree, "_sup_reach") == {"cycle_radius", "_feasible_vertices"}
+    assert _callers(tree, "_group_reach") == {"long_cycle_vertex_count"}
 
 
 def test_hashed_box_traverses_only_through_bfs():

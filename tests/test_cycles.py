@@ -10,7 +10,7 @@ from torusperc import oracle
 from torusperc.cluster import all_components, component_of
 from torusperc.cycles import (MalformedCycleError, OpenSubgraph, WorkBudget,
                               _blocks, _closed_walks, _edge_blocks, _feasible_vertices,
-                              _long_cycle_in_block,
+                              _group_reach, _long_cycle_in_block, _sup_reach, _two_core,
                               cluster_contains_long_cycle, cut_sums, cycle_radius,
                               has_wrapping_cluster, is_long_cycle,
                               long_cycle_interior, long_cycle_threshold,
@@ -214,18 +214,67 @@ class TestBlocks:
     @settings(max_examples=60, deadline=None)
     def test_edge_blocks_partition_the_non_bridge_edges(self, case):
         # the array layer labels the components of the non-bridge edges in
-        # the order of their smallest edges, and one call over every cluster
-        # splits each cluster as a call over that cluster alone does
+        # the order of their smallest edges, and each row's cluster in the
+        # order of the clusters' smallest vertices; one call over every
+        # cluster splits each cluster as a call over that cluster alone does
         g, edges = case
         sub = OpenSubgraph(g, edges)
         ends = g.endpoints(np.asarray(sub.edge_ids, dtype=np.int64)).reshape(-1, 2)
-        whole = _labelled_partition(sub.edge_ids, _edge_blocks(ends))
+        blocks, comps = _edge_blocks(ends)
+        whole = _labelled_partition(sub.edge_ids, blocks)
         assert whole == _non_bridge_partition(sub)
+        clusters = [cl for cl in all_components(config_from_edges(g, edges)) if len(cl.edges)]
+        assert (_labelled_partition(sub.edge_ids, comps)
+                == [cl.edges.tolist() for cl in sorted(clusters, key=lambda cl: cl.root)])
         per_cluster = []
-        for cl in all_components(config_from_edges(g, edges)):
+        for cl in clusters:
             per_cluster += _labelled_partition(cl.edges.tolist(),
-                                               _edge_blocks(g.endpoints(cl.edges)))
+                                               _edge_blocks(g.endpoints(cl.edges))[0])
         assert sorted(per_cluster) == whole
+
+    @given(open_edge_sets())
+    @example((get_torus(2, 5), []))
+    @example((get_torus(2, 8), list(range(get_torus(2, 8).num_edges))))
+    @settings(max_examples=60, deadline=None)
+    def test_two_core_keeps_what_leaf_deletion_keeps(self, case):
+        # the peel against deleting one edge at a vertex of degree one at a
+        # time, until no such vertex is left
+        g, edges = case
+        ends = g.endpoints(np.asarray(edges, dtype=np.int64)).reshape(-1, 2)
+        pairs = ends.tolist()
+        kept = list(range(len(edges)))
+        while True:
+            deg = {}
+            for i in kept:
+                for x in pairs[i]:
+                    deg[x] = deg.get(x, 0) + 1
+            leaf = next((i for i in kept if 1 in (deg[pairs[i][0]], deg[pairs[i][1]])), None)
+            if leaf is None:
+                break
+            kept.remove(leaf)
+        assert _two_core(ends, g.num_vertices).tolist() == kept
+
+    @pytest.mark.parametrize("d, r", [(2, 5), (2, 8), (4, 8), (4, 12)])
+    def test_group_reach_is_sup_reach_per_block(self, d, r):
+        # the one-pass reach of every block of the 2-core, as the count reads
+        # it, against the scalar reach of each block on its own
+        g = get_torus(d, r)
+        p = 0.5 if d == 2 else 0.2
+        checked = 0
+        for i in range(3):
+            cfg = sample_config(g, p, derive_seed(3, d, r, i))
+            ends = g.endpoints(cfg.open_edge_ids())
+            ends = ends[_two_core(ends, g.num_vertices)]
+            blocks, _ = _edge_blocks(ends)
+            on = blocks >= 0
+            keys = np.unique(np.repeat(blocks[on], 2) * g.num_vertices + ends[on].ravel())
+            group, verts = np.divmod(keys, g.num_vertices)
+            reach = _group_reach(g, group, verts)
+            for k in range(int(blocks.max()) + 1):
+                mine = group == k
+                assert reach[mine].tolist() == _sup_reach(g, verts[mine].tolist())
+                checked += 1
+        assert checked >= 3
 
     @pytest.mark.parametrize("r", [4, 8])
     def test_block_search_goes_through_the_asked_vertex_or_edge(self, r):
@@ -415,6 +464,19 @@ class TestBudgetedSearches:
         cfg = config_from_edges(g, column + domino)
         assert long_cycle_vertex_count(cfg, budget=5) == (4, True)
         assert long_cycle_vertex_count(cfg, budget=7) == (10, False)
+
+    def test_count_charges_the_core_not_the_pendant_path(self, g28):
+        # a wrapping row of 8 edges with a 10-edge path hanging off it: the
+        # budget is first charged the 8 core edges, then the block's 8
+        # vertices, which all have reach 4 >= 2t - 1 = 3, so 16 units decide
+        # the count that charging the cluster's 18 edges first gave up on
+        edges = wrap_line_edges(g28)
+        path = [(0, y) for y in range(4)] + [(x, 3) for x in range(1, 8)]
+        edges += [edge_of(g28, a, b) for a, b in zip(path, path[1:])]
+        cfg = config_from_edges(g28, edges)
+        assert long_cycle_vertex_count(cfg, budget=17) == (8, False)
+        assert long_cycle_vertex_count(cfg, budget=16) == (8, False)
+        assert long_cycle_vertex_count(cfg, budget=15) == (0, True)
 
     def test_count_reads_no_instrumented_config(self, g28):
         # the count labels clusters from the bulk mask, which bypasses the

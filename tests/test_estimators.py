@@ -314,3 +314,94 @@ class TestDeterminism:
         assert len(vals) == 1
         again = est._HashedBox(3, 4, 0.3, 12345)
         assert again.edge_open(*key) in vals
+
+    def test_hashed_box_hashes_each_edge_at_most_once(self, monkeypatch):
+        # the search skips a neighbour it has reached before hashing its
+        # edge, so no edge is hashed twice and the distances, in their
+        # order, are those of a search that hashes every neighbour
+        def plain_explore(box):
+            n = box.n
+
+            def step(v):
+                for axis in range(box.d):
+                    for sign in (1, -1):
+                        if -n <= v[axis] + sign <= n:
+                            w = v[:axis] + (v[axis] + sign,) + v[axis + 1:]
+                            if box.edge_open(v if sign > 0 else w, axis):
+                                yield None, w
+
+            return est.bfs((0,) * box.d, step)[0]
+
+        hashed = []
+        edge_open = est._HashedBox.edge_open
+
+        def counted(box, base, axis):
+            hashed.append((base, axis))
+            return edge_open(box, base, axis)
+
+        monkeypatch.setattr(est._HashedBox, "edge_open", counted)
+        fewer = 0
+        for i in range(20):
+            box = est._HashedBox(4, 6, 0.2, est.derive_seed(5, i))
+            hashed.clear()
+            dist = box.explore()
+            calls = len(hashed)
+            assert len(set(hashed)) == calls
+            hashed.clear()
+            assert list(plain_explore(box).items()) == list(dist.items())
+            assert calls <= len(hashed)
+            fewer += len(hashed) - calls
+        assert fewer > 0
+
+
+def _vlc(replicas, sizes=(4,)):
+    return est.est_vertex_long_cycle(2, sizes, p=0.5, replicas=replicas, seed=1)
+
+
+def _cut(replicas, sizes=(4,), deltas=(1.0,)):
+    return est.est_cycle_cut(2, sizes, deltas, p=0.5, replicas=replicas, seed=1)
+
+
+def _size(replicas, sizes=(4,)):
+    return est.est_mean_cluster_size(2, sizes, p=0.5, replicas=replicas, seed=1)
+
+
+def _length(replicas, ks=(4,)):
+    return est.est_cycle_length_profile(2, 5, ks, p=0.5, replicas=replicas,
+                                        origins=2, seed=1)
+
+
+def _tail(replicas, eps=(1.0,)):
+    return est.est_long_cycle_tail(2, 5, eps, p=0.5, replicas=replicas, seed=1)
+
+
+def _ball(replicas, sizes=(2,)):
+    return est.est_ball_boundary_sum(2, sizes, p=0.5, replicas=replicas, seed=1)
+
+
+def _two_point(replicas, max_offset=None):
+    return est.est_two_point(2, 5, p=0.5, replicas=replicas, seed=1, max_offset=max_offset)
+
+
+class TestArgumentChecks:
+    """Every estimator refuses, with ValueError, a call that would report no
+    row or rows over no replica."""
+
+    @pytest.mark.parametrize("call, empties", [
+        (_vlc, [dict(sizes=[])]),
+        (_cut, [dict(sizes=[]), dict(deltas=[])]),
+        (_size, [dict(sizes=[])]),
+        (_length, [dict(ks=[])]),
+        (_tail, [dict(eps=[])]),
+        (_ball, [dict(sizes=[])]),
+        (_two_point, [dict(max_offset=0)]),
+    ], ids=["vertex-long-cycle", "cycle-cut", "cluster-size", "cycle-length",
+            "long-cycle-tail", "ball-boundary", "two-point"])
+    def test_empty_lists_and_no_replicas_are_refused(self, call, empties):
+        assert call(1).rows
+        for kwargs in empties:
+            with pytest.raises(ValueError, match="need at least one"):
+                call(2, **kwargs)
+        for replicas in (0, -1):
+            with pytest.raises(ValueError, match="replicas must be >= 1"):
+                call(replicas)

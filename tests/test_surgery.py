@@ -356,6 +356,18 @@ class TestThresholdTwoDecisions:
                 yes += 1
         assert len(calls) > 90 and yes > 15
 
+    @pytest.mark.xfail(raises=surgery.ExplorationInvariantError, strict=True,
+                       reason="a threshold-2 certificate cycle shares edges with "
+                              "the root path (README, known limitations)")
+    @pytest.mark.parametrize("s", [6, 10, 11, 19])
+    def test_root_path_check_holds_at_d3_r8(self, s):
+        # the checked exploration from the smallest vertex of the largest
+        # cluster; these seeds raise until the program changes, and a pass
+        # fails the run, so a mended defect shows
+        cfg = sample_config(get_torus(3, 8), pc_reference(3).p_c, derive_seed(77, 3, 8, s))
+        surgery.explore_cluster(cfg.instrumented(), _largest_cluster_root(cfg),
+                                check_invariants=True)
+
     def test_critical_d4_r8_exploration_is_valid(self):
         # 1362 vertices, surplus 35: a decision that searched the whole
         # cluster would exhaust the default budget, e's block does not
