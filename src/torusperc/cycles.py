@@ -134,22 +134,23 @@ class CycleWitness:
         if len(verts) < 2 or verts[0] != verts[-1]:
             raise MalformedCycleError("cycle must be a closed vertex sequence")
         edges = []
-        total = (0,) * g.d
+        net = [0] * g.num_offsets       # per offset rank, steps from base minus steps to it
         for u, v in zip(verts, verts[1:]):
             e = g.edge_between(u, v)
             if e is None:
                 raise MalformedCycleError(f"vertices {u} and {v} are not adjacent")
             edges.append(e)
-            total = tuple(map(add, total, g.edge_offset(e, u)))
+            net[e % g.num_offsets] += 1 if e // g.num_offsets == u else -1
         if len(set(edges)) != len(edges):
             raise MalformedCycleError("edges repeat; cycle must be edge-self-avoiding")
         if len(edges) < 3:
             raise MalformedCycleError("a cycle needs at least 3 edges")
+        total = np.dot(net, g.offsets).tolist()
         if any(c % g.r for c in total):
             raise MalformedCycleError("displacements do not close up modulo r")
         winding = tuple(c // g.r for c in total)
-        return cls(verts, edges, winding,
-                   len(edges), cycle_radius(g, verts) >= long_cycle_threshold(g))
+        return cls(verts, edges, winding, len(edges), _all_cycles_long(g)
+                   or cycle_radius(g, verts) >= long_cycle_threshold(g))
 
     def validate(self, g: TorusGeometry, cfg: BondConfig | None = None) -> None:
         """Re-derive everything; raise if any stored field is inconsistent."""
@@ -217,8 +218,7 @@ def cycle_radius(g: TorusGeometry, vertices) -> int:
 def is_long_cycle(g: TorusGeometry, cycle) -> bool:
     """Radius criterion for long cycles; raises on malformed input."""
     verts = cycle.vertices if isinstance(cycle, CycleWitness) else cycle
-    CycleWitness.from_vertices(g, verts)      # structural validation
-    return cycle_radius(g, verts) >= long_cycle_threshold(g)
+    return CycleWitness.from_vertices(g, verts).long
 
 
 def winding_vector(g: TorusGeometry, cycle) -> np.ndarray:
@@ -1008,23 +1008,3 @@ def long_cycle_interior(cfg: BondConfig, root: int,
     except BudgetExhausted:
         return members, False
 
-
-def has_wrapping_cluster(cfg: BondConfig) -> dict[int, bool]:
-    """Per-cluster wrap flags keyed by cluster root (smallest vertex id).
-
-    A cluster wraps iff its lift to Z^d connects two distinct r-equivalent
-    copies of a vertex, equivalently iff it contains a nonzero-winding cycle.
-    Meant for desk-scale configs; every cluster, including singletons, gets a
-    row.
-    """
-    cm = _cluster.component_map(cfg)
-    out: dict[int, bool] = {}
-    b = WorkBudget(max(DEFAULT_BUDGET, 100 * cfg.geometry.num_edges))
-    for lab in range(cm.num_clusters):
-        root = int(cm.roots[lab])
-        if cm.surplus[lab] < 1:
-            out[root] = False
-            continue
-        sub = OpenSubgraph(cfg.geometry, cm.cluster_edges(lab))
-        out[root] = _wrap_cycle_witness(sub, b) is not None
-    return out

@@ -12,8 +12,10 @@ The same code gives each edge step its displacement, +offsets[rank] from the
 base and -offsets[rank] from the other end (`edge_offset`), so walks sum
 displacements without touching coordinates, and each vertex its incident
 edges: it is the base of its outgoing edges v * K + j, and the base of its
-j-th incoming edge is v shifted by -offsets[j].  A torus stores nothing that
-grows with its vertex count.
+j-th incoming edge is v shifted by -offsets[j].  Conversely an id difference
+of +-r^j or -+(r-1) r^j names a nearest-neighbour edge along axis j unless
+digit j of one end shows a borrow (`edge_between`).  A torus stores nothing
+that grows with its vertex count.
 """
 from __future__ import annotations
 
@@ -120,6 +122,9 @@ class TorusGeometry:
         self._steps = [self.r ** j for j in range(self.d)]     # _radix as Python ints
         self._signed_offsets = _signed_offsets(self.offsets)
         self._offset_rank = {o: j for j, (o, _) in enumerate(self._signed_offsets)}
+        k = self.r - 1      # nearest-neighbour id gap -> (r^j, j, digit, wraps), see edge_between
+        self._id_gaps = {m * s: (s, j, digit, m in (k, -k)) for j, s in enumerate(self._steps)
+                         for m, digit in ((1, k), (-k, k), (-1, 0), (k, 0))}
         self.origin = int(((0 - self._lo) * self._radix).sum())   # id of (0,...,0)
 
     # -- vertex indexing ---------------------------------------------------
@@ -151,11 +156,13 @@ class TorusGeometry:
         of base up by one, wrapping from r-1 to 0; a spread-out edge adds
         offsets[rank] to the coordinates of base.
         """
-        base, rank = np.divmod(np.asarray(eids, dtype=np.int64), self.num_offsets)
-        if self.model == NEAREST_NEIGHBOR:
+        eids = np.asarray(eids, dtype=np.int64)
+        base = eids // self.num_offsets         # faster than np.divmod
+        rank = eids - base * self.num_offsets
+        if self.model == NEAREST_NEIGHBOR:      # wraps iff base mod r*step >= (r-1) step
             step = self._radix[rank]
-            wraps = (base // step) % self.r == self.r - 1
-            other = base + step - wraps * (self.r * step)
+            span = self.r * step
+            other = base + step - (base % span >= span - step) * span
         else:
             other = self.vertex_index(self.vertex_coords(base) + self.offsets[rank])
         return np.stack([base, other], axis=-1)
@@ -182,11 +189,22 @@ class TorusGeometry:
     def edge_between(self, u, v) -> int | None:
         """EdgeId joining u and v, or None if not adjacent.
 
-        The displacement is taken digit by digit on Python ints: digit j of
-        v minus digit j of u is (v // r^j - u // r^j) mod r, centered.  Its
-        offset rank, or that of its negative, names the edge.
+        Nearest-neighbour: v - u is +r^j or -(r-1) r^j from the base of an
+        axis-j edge, the negatives from its other end (r-1 is no power of r, so
+        the 4d gaps differ), and it is no borrow iff digit j of u is r-1 (from
+        the base) or 0 (to it) exactly when the step wraps.  Spread-out: digit
+        j of the displacement, (v // r^j - u // r^j) mod r centered, names the
+        edge by its offset rank or its negative's.
         """
         u, v = int(u), int(v)
+        if self.model == NEAREST_NEIGHBOR:
+            gap = self._id_gaps.get(v - u)
+            if gap is None:
+                return None
+            s, j, digit, wraps = gap
+            if (u // s % self.r == digit) != wraps:
+                return None
+            return (u if digit else v) * self.num_offsets + j     # digit r-1: u is the base
         delta = tuple((v // s - u // s - self._lo) % self.r + self._lo
                       for s in self._steps)
         rank = self._offset_rank.get(delta)

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from torusperc import estimators as est
 from torusperc import oracle
 from torusperc.cluster import all_components, component_of
-from torusperc.cycles import (MalformedCycleError, OpenSubgraph, WorkBudget,
-                              _blocks, _closed_walks, _edge_blocks, _feasible_vertices,
-                              _group_reach, _long_cycle_in_block, _sup_reach, _two_core,
+from torusperc.cycles import (CycleWitness, MalformedCycleError, OpenSubgraph,
+                              WorkBudget, _blocks, _closed_walks, _edge_blocks,
+                              _feasible_vertices, _group_reach, _long_cycle_in_block,
+                              _sup_reach, _two_core, _wrap_cycle_witness,
                               cluster_contains_long_cycle, cut_sums, cycle_radius,
-                              has_wrapping_cluster, is_long_cycle,
+                              is_long_cycle,
                               long_cycle_interior, long_cycle_threshold,
                               long_cycle_vertex_count, min_long_cycle_cut,
                               shortest_long_cycle_through, vertex_in_long_cycle,
@@ -114,6 +115,57 @@ class TestPredicates:
             rotated.append(rotated[0])
             assert is_long_cycle(g, rotated) == want
         assert is_long_cycle(g, verts[::-1]) == want
+
+
+@st.composite
+def oracle_cycles(draw, g):
+    """Every cycle the oracle enumerates in 8 to 14 open edges of g, drawn
+    from the whole torus (r <= 4) or from a 4 x 4 vertex patch and perhaps a
+    wrapping line (r >= 5); its long-flag comes from the brute-force radius."""
+    pool = patch_edges(g, 3, 3) if g.r >= 5 else list(range(g.num_edges))
+    edges = draw(st.lists(st.sampled_from(pool), min_size=min(8, len(pool)),
+                          max_size=14, unique=True))
+    if g.r >= 5 and draw(st.booleans()):
+        edges = sorted(set(edges) | set(wrap_line_edges(g)))
+    return oracle.enumerate_all_cycles(OpenSubgraph(g, edges))
+
+
+class TestWitnessConstruction:
+    @pytest.mark.parametrize("d, r", [(1, 3), (2, 3), (2, 4), (2, 5), (2, 8)])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_long_flag_is_the_radius_criterion(self, d, r, data):
+        g = get_torus(d, r)
+        t = long_cycle_threshold(g)
+        for c in data.draw(oracle_cycles(g)):
+            w = CycleWitness.from_vertices(g, c.vertices)
+            assert w.long == (cycle_radius(g, c.vertices) >= t) == c.long
+            assert is_long_cycle(g, c.vertices) == c.long
+            assert is_long_cycle(g, w) == c.long
+
+    @pytest.mark.parametrize("d, r", [(2, 3), (2, 5), (2, 8), (3, 4)])
+    def test_borrow_gaps_are_not_steps(self, d, r):
+        # an id gap of +r^j from digit j = r-1, or of +(r-1) r^j from a digit
+        # j other than 0, carries into digit j+1: the ids are not adjacent,
+        # however the walk closes up
+        g = get_torus(d, r)
+        checked = 0
+        for u in range(g.num_vertices):
+            for j in range(d):
+                digit = u // r**j % r
+                for gap, borrows in ((r**j, digit == r - 1), ((r - 1) * r**j, digit != 0)):
+                    v = u + gap
+                    if not borrows or v >= g.num_vertices:
+                        continue
+                    assert g.edge_between(u, v) is None and g.edge_between(v, u) is None
+                    _, parent = bfs(v, g._incident_pairs, target=u)
+                    back = [u]
+                    while back[-1] != v:
+                        back.append(parent[back[-1]][0])
+                    with pytest.raises(MalformedCycleError, match="not adjacent"):
+                        CycleWitness.from_vertices(g, [u] + back[::-1])
+                    checked += 1
+        assert checked >= g.num_vertices // 2
 
 
 @st.composite
@@ -370,26 +422,19 @@ class TestOpenSubgraphAdd:
 
 
 class TestWrappingDetection:
-    def test_extremes(self, g25):
-        assert not any(has_wrapping_cluster(sample_config(g25, 0.0, 1)).values())
-        flags = has_wrapping_cluster(sample_config(g25, 1.0, 1))
-        assert list(flags.values()) == [True]
-
-    def test_wrap_line_only(self, g28):
-        cfg = config_from_edges(g28, wrap_line_edges(g28))
-        flags = has_wrapping_cluster(cfg)
-        assert sum(flags.values()) == 1
-
     def test_matches_oracle_on_random_configs(self):
         g = get_torus(2, 4)
         for i in range(60):
             cfg = sample_config(g, 0.5, derive_seed(303, i))
-            flags = has_wrapping_cluster(cfg)
             for cl in all_components(cfg):
                 sub = OpenSubgraph(g, cl.edges)
+                found = _wrap_cycle_witness(sub, WorkBudget(10**6))
                 cycles = oracle.enumerate_all_cycles(sub, override=True)
                 wraps = any(any(w != 0 for w in c.winding) for c in cycles)
-                assert flags[cl.root] == wraps, f"config {i}, root {cl.root}"
+                assert (found is not None) == wraps, f"config {i}, root {cl.root}"
+                if found is not None:
+                    found.validate(g, cfg)
+                    assert any(found.winding)
 
     def test_nonzero_winding_implies_long(self):
         g = get_torus(2, 4)
