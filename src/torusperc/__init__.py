@@ -9,8 +9,7 @@ from .cluster import (Cluster, IntrinsicBall, all_components, component_map,
                       component_of, connected_within, intrinsic_ball)
 from .cycles import (DEFAULT_BUDGET, BudgetedAnswer, CycleWitness,
                      MalformedCycleError, OpenSubgraph, cluster_contains_long_cycle,
-                     cycle_radius, is_long_cycle,
-                     long_cycle_interior, long_cycle_threshold,
+                     cycle_radius, is_long_cycle, long_cycle_threshold,
                      long_cycle_vertex_count, min_long_cycle_cut,
                      shortest_long_cycle_through, vertex_in_long_cycle,
                      winding_vector)

@@ -17,11 +17,12 @@ every block in one array pass.  Those passes cost a fixed millisecond or so
 per call, more than `_blocks` takes on one surgery graph of a hundred-odd
 vertices, and several times less than per-cluster subgraphs and `_blocks`
 take on a whole configuration at d=7 (figures in BENCH_12.json).
+`_group_reach` is the one reach kernel: the cycle radius, the feasibility
+prune and the count all read it, the first two over one group.
 The vertex count, the vertex query, containment, the surgery's edge
 decisions and the minimum cut (the sum of the blocks' cuts) find their
 cycles through `_long_cycle_in_block`; the length-bounded query searches x's
-block, and the interior set each block from the block vertex nearest the
-root.  Every walk search reads one generator, `_closed_walks`, in a plain loop
+block.  Every walk search reads one generator, `_closed_walks`, in a plain loop
 over the closed walks it yields, and stops it by leaving the loop.  For
 floor(r/4) <= 1 every cycle is long, so the vertices on long cycles are
 exactly the block vertices.  Otherwise, with t = floor(r/4), a block vertex
@@ -168,35 +169,15 @@ class CycleWitness:
                 "length": self.length, "long": self.long}
 
 
-def _sup_reach(g: TorusGeometry, verts) -> list[int]:
-    """Per vertex, the largest torus sup-distance to any vertex of the set.
-
-    The sup-distance is a max over axes, so per axis only the at most r
-    occupied coordinates matter: each one's circular distance to the farthest
-    occupied one (found by scanning inward from its antipode) is tabulated
-    once, then each vertex takes the max of its d table entries.  Coordinates
-    are read as mixed-radix digits.
-    """
-    r = g.r
-    verts = list(verts)
-    per_axis = []
-    for step in (r ** a for a in range(g.d)):
-        coords = [v // step % r for v in verts]
-        occupied = set(coords)
-        far = {c: next(k for k in range(r // 2, -1, -1)
-                       if (c + k) % r in occupied or (c - k) % r in occupied)
-               for c in occupied}
-        per_axis.append(map(far.__getitem__, coords))
-    return [max(row) for row in zip(*per_axis)]
-
-
 def _group_reach(g: TorusGeometry, group: np.ndarray, verts: np.ndarray) -> np.ndarray:
     """Per entry, the largest torus sup-distance from its vertex to any vertex
-    of its group: `_sup_reach` of every group at once, in one array pass.
+    of its group, for every group at once in one array pass.
 
-    Per group and axis, an occupancy mask over the r coordinates (mixed-radix
-    digits) times the r x r table of circular distances gives each
-    coordinate's distance to the farthest occupied one.
+    The sup-distance is a max over axes, so per group and axis only the
+    occupied coordinates (mixed-radix digits) matter: an occupancy mask over
+    the r coordinates times the r x r table of circular distances gives each
+    coordinate's distance to the farthest occupied one.  A vertex that occurs
+    twice in a group sets the same cells, so repeats need no de-duplication.
     """
     r, d = g.r, g.d
     c = np.arange(r)
@@ -212,7 +193,10 @@ def _group_reach(g: TorusGeometry, group: np.ndarray, verts: np.ndarray) -> np.n
 
 def cycle_radius(g: TorusGeometry, vertices) -> int:
     """min over cycle vertices u of max over cycle vertices v of sup-distance."""
-    return min(_sup_reach(g, {int(v) for v in vertices}), default=0)
+    verts = np.fromiter(vertices, dtype=np.int64)
+    if not len(verts):
+        return 0
+    return int(_group_reach(g, np.zeros_like(verts), verts).min())
 
 
 def is_long_cycle(g: TorusGeometry, cycle) -> bool:
@@ -588,7 +572,9 @@ def _feasible_vertices(sub: OpenSubgraph, t: int, budget: WorkBudget) -> set[int
     if not verts:
         return set()
     budget.charge(len(verts))
-    return {v for v, far in zip(verts, _sup_reach(sub.geometry, verts)) if far >= t}
+    verts = np.asarray(verts, dtype=np.int64)
+    far = _group_reach(sub.geometry, np.zeros_like(verts), verts)
+    return set(verts[far >= t].tolist())
 
 
 def _shortest_cycle_through(sub: OpenSubgraph, x: int, budget: WorkBudget,
@@ -967,44 +953,4 @@ def edge_closes_long_cycle(graph: OpenSubgraph, e: int,
                               work=b.spent, budget=budget)
     except BudgetExhausted:
         return BudgetedAnswer(UNKNOWN, work=b.spent, budget=budget)
-
-
-def long_cycle_interior(cfg: BondConfig, root: int,
-                        budget: int = DEFAULT_BUDGET) -> tuple[set[int], bool]:
-    """Cluster vertices z with edge-disjoint witnesses: a root-z path and a
-    long cycle through z.
-
-    The cycle lies in z's block, and every root-z path enters that block at
-    its entry vertex a, the block vertex nearest the root, then stays inside
-    it; the part up to a crosses bridges, which no cycle uses.  So each block
-    is searched alone, for a long cycle through z that leaves an a-z path of
-    the block.  Returns a lower approximation and an exactness flag; the flag
-    is True only when every remaining vertex carries an exhaustive
-    non-existence certificate.
-    """
-    g = cfg.geometry
-    t = long_cycle_threshold(g)
-    b = WorkBudget(budget)
-    members: set[int] = set()
-    try:
-        cl = _cluster.component_of(cfg, root)
-        b.charge(max(1, len(cl.edges)))
-        if cl.surplus == 0:
-            return set(), True
-        sub = OpenSubgraph(g, cl.edges)
-        depth, _ = bfs(int(root), sub.adj.__getitem__)
-        for verts, edges in _blocks(sub):
-            block = OpenSubgraph(g, edges)
-            a = min(verts, key=depth.__getitem__)
-            for z in sorted(_feasible_vertices(block, t, b)):
-                for walk in _closed_walks(block, z, b):
-                    if cycle_radius(g, walk) < t:
-                        continue
-                    used = CycleWitness.from_vertices(g, walk).edges
-                    if block.path_between(a, z, forbidden=used) is not None:
-                        members.add(z)
-                        break
-        return members, True
-    except BudgetExhausted:
-        return members, False
 

@@ -187,7 +187,8 @@ class TorusGeometry:
         return self._signed_offsets[rank][int(frm) != base]
 
     def edge_between(self, u, v) -> int | None:
-        """EdgeId joining u and v, or None if not adjacent.
+        """EdgeId joining u and v, or None if not adjacent; GeometryError unless
+        both are vertices.
 
         Nearest-neighbour: v - u is +r^j or -(r-1) r^j from the base of an
         axis-j edge, the negatives from its other end (r-1 is no power of r, so
@@ -197,6 +198,8 @@ class TorusGeometry:
         edge by its offset rank or its negative's.
         """
         u, v = int(u), int(v)
+        if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+            raise GeometryError(f"vertex pair ({u}, {v}) outside [0, {self.num_vertices})")
         if self.model == NEAREST_NEIGHBOR:
             gap = self._id_gaps.get(v - u)
             if gap is None:
@@ -412,15 +415,11 @@ class BoxGeometry:
         base, rank = self.edge_base_rank(e)
         return self._signed_offsets[rank][int(frm) != base]
 
-    def edge_id(self, base: int, rank: int) -> int | None:
-        """EdgeId for (base vertex, offset rank), or None if it leaves the box."""
-        e = int(self._edge_lookup[int(base), int(rank)])
-        return e if e >= 0 else None
-
     def edge_array(self) -> np.ndarray:
         return np.column_stack([self._edge_base, self._edge_other])
 
     def edge_between(self, u, v) -> int | None:
+        u, v = _vertex_id(self, u), _vertex_id(self, v)
         delta = tuple(int(c) for c in (self.vertex_coords(v) - self.vertex_coords(u)))
         for base, probe in ((u, delta), (v, tuple(-c for c in delta))):
             rank = self._offset_rank.get(probe)

@@ -147,16 +147,6 @@ def exhaustive_config_probability(geometry, p, predicate,
     return total
 
 
-def iterate_all_configs(geometry, p=None, guard: int = CONFIG_GUARD_EDGES,
-                        override: bool = False):
-    """Yield (bits, config) over every configuration of a tiny geometry."""
-    E = geometry.num_edges
-    if E > guard and not override:
-        raise OracleGuardError(f"{E} edges exceeds the oracle guard ({guard})")
-    for bits in range(1 << E):
-        yield bits, BondConfig.from_bits(geometry, bits, p=p)
-
-
 def verify_coupling_property_b(sample, k_values, guard_edges: int = 400,
                                path_budget: int = 2_000_000) -> list[dict]:
     """Check the disjoint-connection witness on every lattice-over-torus

@@ -80,9 +80,6 @@ class BranchOrdering:
     aux_depth: dict[int, int]
     oriented_surplus: dict[int, tuple[int, int]]   # edge -> (descendant a, ancestor b)
 
-    def number(self, b: int) -> int:
-        return self.order.index(b) + 1
-
 
 @dataclass
 class Stage2Result:

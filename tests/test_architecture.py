@@ -55,7 +55,7 @@ def test_no_private_cycles_names_outside_cycles():
 #: Per-edge-step and radius kernels: displacements come from `edge_offset`
 #: and coordinates from mixed-radix digits, never from a numpy call per step.
 COORDINATE_FREE = {"from_vertices", "_lift_forest", "_wrap_cycle_witness",
-                   "_feasible_vertices", "cycle_radius", "_sup_reach", "_group_reach"}
+                   "_feasible_vertices", "cycle_radius", "_group_reach"}
 
 
 def _called(node):
@@ -77,13 +77,12 @@ def test_cycle_kernels_take_no_coordinates():
 #: search block by block; `_block_of` splits for the two queries about cycles
 #: through one vertex.  The vertex count splits a whole configuration with
 #: `_edge_blocks` instead.
-BLOCK_SEARCHES = {"_block_of", "long_cycle_interior",
-                  "_subgraph_contains_long_cycle", "min_long_cycle_cut",
+BLOCK_SEARCHES = {"_block_of", "_subgraph_contains_long_cycle", "min_long_cycle_cut",
                   "edge_closes_long_cycle"}
 
 #: The walk searches, each of which runs on one block and reads the one
 #: closed-walk generator in a plain loop.
-WALK_SEARCHES = {"_long_cycle_in_block", "_min_long_cycle_through", "long_cycle_interior"}
+WALK_SEARCHES = {"_long_cycle_in_block", "_min_long_cycle_through"}
 
 
 def _callers(tree, name):
@@ -104,7 +103,8 @@ def test_blocks_alone_compute_bridges():
         assert not names & {"_bridges", "_cycle_vertices_exact", "_any_cycle_witness",
                             "_long_cycle_vertices_general",
                             "_instrumented_components", "_closed_walk_search",
-                            "_first_long_walk", "from_cluster"}, path.name
+                            "_first_long_walk", "from_cluster", "_sup_reach",
+                            "long_cycle_interior"}, path.name
     tree = _tree("cycles.py")
     assert _callers(tree, "_blocks") == BLOCK_SEARCHES
     assert _callers(tree, "_edge_blocks") == {"long_cycle_vertex_count"}
@@ -118,13 +118,13 @@ def test_blocks_alone_compute_bridges():
 
 def test_count_reads_the_two_core_without_a_component_map():
     # the vertex count peels the open edges to their 2-core and takes every
-    # block's reach in one array pass; the scalar reach serves the radius
-    # and the feasibility prune alone
+    # block's reach in one array pass; the radius and the feasibility prune
+    # read the same reach kernel over one group
     tree = _tree("cycles.py")
     assert _callers(tree, "_two_core") == {"long_cycle_vertex_count"}
     assert "long_cycle_vertex_count" not in _callers(tree, "component_map")
-    assert _callers(tree, "_sup_reach") == {"cycle_radius", "_feasible_vertices"}
-    assert _callers(tree, "_group_reach") == {"long_cycle_vertex_count"}
+    assert _callers(tree, "_group_reach") == {"cycle_radius", "_feasible_vertices",
+                                              "long_cycle_vertex_count"}
 
 
 def test_hashed_box_traverses_only_through_bfs():

@@ -11,10 +11,9 @@ from torusperc.cluster import all_components, component_of
 from torusperc.cycles import (CycleWitness, MalformedCycleError, OpenSubgraph,
                               WorkBudget, _blocks, _closed_walks, _edge_blocks,
                               _feasible_vertices, _group_reach, _long_cycle_in_block,
-                              _sup_reach, _two_core, _wrap_cycle_witness,
+                              _two_core, _wrap_cycle_witness,
                               cluster_contains_long_cycle, cut_sums, cycle_radius,
-                              is_long_cycle,
-                              long_cycle_interior, long_cycle_threshold,
+                              is_long_cycle, long_cycle_threshold,
                               long_cycle_vertex_count, min_long_cycle_cut,
                               shortest_long_cycle_through, vertex_in_long_cycle,
                               winding_vector)
@@ -307,9 +306,9 @@ class TestBlocks:
         assert _two_core(ends, g.num_vertices).tolist() == kept
 
     @pytest.mark.parametrize("d, r", [(2, 5), (2, 8), (4, 8), (4, 12)])
-    def test_group_reach_is_sup_reach_per_block(self, d, r):
+    def test_group_reach_is_torus_distance_per_block(self, d, r):
         # the one-pass reach of every block of the 2-core, as the count reads
-        # it, against the scalar reach of each block on its own
+        # it, against each vertex's largest torus distance within its block
         g = get_torus(d, r)
         p = 0.5 if d == 2 else 0.2
         checked = 0
@@ -323,8 +322,9 @@ class TestBlocks:
             group, verts = np.divmod(keys, g.num_vertices)
             reach = _group_reach(g, group, verts)
             for k in range(int(blocks.max()) + 1):
-                mine = group == k
-                assert reach[mine].tolist() == _sup_reach(g, verts[mine].tolist())
+                mine = verts[group == k]
+                assert reach[group == k].tolist() == [
+                    int(torus_distance(g, v, mine).max()) for v in mine]
                 checked += 1
         assert checked >= 3
 
@@ -608,59 +608,6 @@ class TestMinCut:
         cl = component_of(line, vid(g28, 0, 0))
         ans = min_long_cycle_cut(line, cl, special_edge_count=1)
         assert ans.upper_bound == 1 and ans.value == 1
-
-
-class TestInteriorSet:
-    def test_tree_empty_exact(self, g28):
-        cfg = config_from_edges(g28, [edge_of(g28, (0, 0), (1, 0))])
-        assert long_cycle_interior(cfg, vid(g28, 0, 0)) == (set(), True)
-
-    def test_wrap_line_root_only(self, g28):
-        # a bare cycle offers no edge-disjoint path+cycle pair except at the root
-        cfg = config_from_edges(g28, wrap_line_edges(g28))
-        root = vid(g28, 0, 0)
-        members, exact = long_cycle_interior(cfg, root)
-        assert exact and members == {root}
-
-    def test_budget_zero_inexact(self, g28):
-        cfg = config_from_edges(g28, wrap_line_edges(g28))
-        members, exact = long_cycle_interior(cfg, vid(g28, 0, 0), budget=0)
-        assert members == set() and not exact
-
-    @pytest.mark.parametrize("r, p", [(5, 0.45), (8, 0.4)])
-    def test_members_match_oracle(self, r, p):
-        # z is a member iff an enumerated long cycle passes z and leaves a
-        # root-z path of the whole cluster, with every third vertex as root
-        g = get_torus(2, r)
-        checked = 0
-        for i in range(40):
-            cfg = sample_config(g, p, derive_seed(541, r, i))
-            for cl in all_components(cfg):
-                if cl.surplus == 0 or len(cl.edges) > 36:
-                    continue
-                sub = OpenSubgraph(g, cl.edges)
-                long_cycles = [c for c in oracle.enumerate_all_cycles(sub, override=True)
-                               if c.long]
-                for root in cl.vertices[::3].tolist():
-                    want = {z for c in long_cycles for z in set(c.vertices)
-                            if z == root
-                            or sub.path_between(root, z, forbidden=c.edges) is not None}
-                    assert long_cycle_interior(cfg, root, budget=10**7) == (want, True)
-                    checked += bool(want)
-        assert checked >= 20
-
-    def test_interior_bound_when_exact(self, g25):
-        # cut number <= 2d * |interior| whenever the interior is certified
-        for i in range(30):
-            cfg = sample_config(g25, 0.45, derive_seed(331, i))
-            for cl in all_components(cfg):
-                if cl.surplus == 0:
-                    continue
-                members, exact = long_cycle_interior(cfg, int(cl.vertices[0]),
-                                                     budget=10**7)
-                cut = min_long_cycle_cut(cfg, cl)
-                if exact and cut.is_yes:
-                    assert cut.value <= 2 * g25.d * len(members)
 
 
 class TestOracleAgreement:

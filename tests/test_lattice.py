@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusperc.cluster import component_of, connected_within, intrinsic_ball
-from torusperc.cycles import vertex_in_long_cycle
+from torusperc.cycles import CycleWitness, vertex_in_long_cycle
 from torusperc.lattice import (GeometryError, TorusGeometry, build_box,
                                canonical_rep, centered_mod, get_torus,
                                r_equivalent, torus_distance)
@@ -147,6 +147,21 @@ class TestVertexRange:
                      lambda: build_box([0, 0], 2).incident_edges(v)):
             with pytest.raises(GeometryError):
                 call()
+
+    @pytest.mark.parametrize("g, walk", [
+        (get_torus(2, 5), [25, 26, 31, 30, 25]),
+        (get_torus(2, 5, "spread-out", 1), [0, 26, 5, 0]),
+        (build_box([0, 0], 1), [-3, -2, -3])], ids=["nn", "spread-out", "box"])
+    def test_edge_between_rejects_outside_ids(self, g, walk):
+        # an id outside [0, V) must not alias a vertex, by its digits modulo
+        # r or by negative indexing, and so name an edge the geometry lacks
+        u, v = walk[:2]
+        for a, b in ((u, v), (v, u)):
+            with pytest.raises(GeometryError):
+                g.edge_between(a, b)
+        if isinstance(g, TorusGeometry):
+            with pytest.raises(GeometryError):
+                CycleWitness.from_vertices(g, walk)
 
 
 def displacement_rule(g, u, v):
