@@ -3,8 +3,8 @@
 Subcommands: sample, explore, couple, estimate <quantity>, oracle, pc.
 Exit codes: 0 success, 1 usage error, 2 runtime error, 3 failed band check
 (`estimate --check`).  Errors go to standard error with a machine-parsable
-ERROR[kind]: prefix.  A key=value config file can predefine any flag; explicit
-flags win.
+ERROR[kind]: prefix.  A key=value config file can predefine any flag of its
+subcommand; explicit flags win.
 """
 from __future__ import annotations
 
@@ -19,10 +19,12 @@ from . import cycles as _cycles
 from . import estimators as _est
 from . import surgery as _surgery
 from .lattice import NEAREST_NEIGHBOR, SPREAD_OUT, get_torus
-from .percolation import _pc_table, pc_reference, sample_config
+from .percolation import _pc_table, sample_config
 
 QUANTITIES = ("vertex-long-cycle", "cycle-cut", "cluster-size", "cycle-length",
               "long-cycle-tail", "two-point", "ball-boundary")
+#: The quantities estimated over a list of sizes; the others take one --r.
+OVER_SIZES = ("vertex-long-cycle", "cycle-cut", "cluster-size")
 
 
 class UsageError(Exception):
@@ -39,45 +41,47 @@ def _build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", metavar="command")
 
-    def common(sp, *, need_r=True):
+    def common(sp, *, model=True, budget=False):
         sp.add_argument("--config", help="key=value file; flags override it")
         sp.add_argument("--d", type=int, help="dimension")
-        if need_r:
-            sp.add_argument("--r", help="torus side, or comma list of sides")
-        sp.add_argument("--model", choices=[NEAREST_NEIGHBOR, SPREAD_OUT],
-                        default=NEAREST_NEIGHBOR, help="edge model (default nn)")
-        sp.add_argument("--L", type=int, default=None, help="spread-out range")
+        sp.add_argument("--r", help="torus side, or comma list of sides for an "
+                                    "estimate over sizes")
+        if model:
+            sp.add_argument("--model", choices=[NEAREST_NEIGHBOR, SPREAD_OUT],
+                            default=NEAREST_NEIGHBOR, help="edge model (default nn)")
+            sp.add_argument("--L", type=int, default=None, help="spread-out range")
         sp.add_argument("--p", type=float, default=None, help="edge probability")
         sp.add_argument("--pc-ref", action="store_true",
                         help="use the bundled critical-point reference")
         sp.add_argument("--seed", type=int, default=None, help="master seed")
-        sp.add_argument("--budget", type=int, default=_cycles.DEFAULT_BUDGET,
-                        help="search budget per query (node expansions)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker processes at most; an estimate cheaper "
-                             "than a process-pool start runs in-process")
+        if budget:
+            sp.add_argument("--budget", type=int, default=_cycles.DEFAULT_BUDGET,
+                            help="search budget per query (node expansions)")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--format", choices=["csv", "jsonl"], default=None)
-        sp.add_argument("--no-header-meta", action="store_true",
-                        help="suppress the metadata comment lines")
 
     sp = sub.add_parser("sample", help="sample one config and dump it")
     common(sp)
 
     sp = sub.add_parser("explore", help="two-stage exploration of one sample")
-    common(sp)
+    common(sp, budget=True)
     sp.add_argument("--root", type=int, default=None,
                     help="root vertex id (default: the origin)")
 
-    sp = sub.add_parser("couple", help="coupled torus/lattice sample")
-    common(sp)
+    sp = sub.add_parser("couple", help="coupled nearest-neighbor torus/lattice sample")
+    common(sp, model=False)
     sp.add_argument("--K", type=int, default=4, help="window factor")
     sp.add_argument("--k-grid", default="0:20",
                     help="inclusive range lo:hi for the inclusion check")
 
     sp = sub.add_parser("estimate", help="run a Monte Carlo estimator")
     sp.add_argument("quantity", choices=QUANTITIES)
-    common(sp)
+    common(sp, budget=True)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes at most; an estimate cheaper "
+                         "than a process-pool start runs in-process")
+    sp.add_argument("--format", choices=["csv", "jsonl"], default=None)
+    sp.add_argument("--no-header-meta", action="store_true",
+                    help="suppress the metadata comment lines")
     sp.add_argument("--replicas", type=int, default=300)
     sp.add_argument("--delta", default="0.5,1,2", help="comma list of deltas")
     sp.add_argument("--k-schedule", default=None, help="comma list of k values")
@@ -97,17 +101,13 @@ def _build_parser() -> _Parser:
     return p
 
 
-_CONFIG_CASTS = {"d": int, "L": int, "seed": int, "budget": int, "threads": int,
-                 "replicas": int, "K": int, "origins": int, "root": int,
-                 "p": float, "pc_ref": bool, "check": bool,
-                 "no_header_meta": bool}
+#: Config keys of on/off flags: "1", "true" or "yes" switches one on.
+_CONFIG_SWITCHES = {"pc_ref", "check", "no_header_meta"}
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The config file's key=value lines as flag tokens of the subcommand."""
+    tokens = []
     with open(args.config) as fh:
         for line in fh:
             line = line.strip()
@@ -119,18 +119,12 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
             attr = key.replace("-", "_")
             if not hasattr(args, attr):
                 raise UsageError(f"unknown config key: {key!r}")
-            if attr in explicit:
-                continue
-            cast = _CONFIG_CASTS.get(attr)
-            if cast is bool:
-                setattr(args, attr, value.lower() in ("1", "true", "yes"))
-            elif cast is not None:
-                try:
-                    setattr(args, attr, cast(value))
-                except ValueError:
-                    raise UsageError(f"bad value for config key {key!r}: {value!r}")
-            else:
-                setattr(args, attr, value)
+            flag = "--" + attr.replace("_", "-")
+            if attr not in _CONFIG_SWITCHES:
+                tokens.append(f"{flag}={value}")
+            elif value.lower() in ("1", "true", "yes"):
+                tokens.append(flag)
+    return tokens
 
 
 def _require(args, *names):
@@ -140,11 +134,20 @@ def _require(args, *names):
                          + " ".join("--" + n.replace("_", "-") for n in missing))
 
 
-def _sizes(args) -> list[int]:
+def _values(args, name, cast=int, *, sep=",", count=None) -> list:
+    """The sep-separated values of one flag.  A value that does not parse,
+    no value at all, or a number of values other than count (when given) is
+    a usage error."""
+    text = getattr(args, name)
+    flag = "--" + name.replace("_", "-")
     try:
-        return [int(tok) for tok in str(args.r).split(",") if tok]
+        values = [cast(tok) for tok in str(text).split(sep) if tok]
     except ValueError:
-        raise UsageError(f"bad --r value: {args.r!r}")
+        raise UsageError(f"bad {flag} value: {text!r}") from None
+    if not values or count is not None and len(values) != count:
+        raise UsageError(f"{flag} takes {count or 'at least one'} value(s), "
+                         f"got {text!r}")
+    return values
 
 
 def _check_probability_flags(args) -> None:
@@ -162,14 +165,6 @@ def _check_counts(args) -> None:
             raise UsageError(f"--{flag} must be >= {low}, got {value}")
 
 
-def _resolve_probability(args) -> float:
-    _check_probability_flags(args)
-    if args.p is not None:
-        return args.p
-    return pc_reference(args.d, args.model,
-                        None if args.model == NEAREST_NEIGHBOR else args.L).p_c
-
-
 def _emit(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
@@ -184,11 +179,12 @@ def _meta_line() -> str:
 
 def _cmd_sample(args) -> int:
     _require(args, "d", "r", "seed")
-    sizes = _sizes(args)
-    p = _resolve_probability(args)
-    g = get_torus(args.d, sizes[0], args.model, 1 if args.L is None else args.L)
+    r, = _values(args, "r", count=1)
+    _check_probability_flags(args)
+    p, _ = _est._resolve_p(args.p, args.d, args.model, args.L)
+    g = get_torus(args.d, r, args.model, 1 if args.L is None else args.L)
     cfg = sample_config(g, p, args.seed)
-    payload = {"d": args.d, "r": sizes[0], "model": args.model,
+    payload = {"d": args.d, "r": r, "model": args.model,
                "L": args.L if args.model == SPREAD_OUT else None, "p": p,
                "seed": args.seed, "num_edges": g.num_edges,
                "open_edges": cfg.open_edge_ids().tolist()}
@@ -198,9 +194,10 @@ def _cmd_sample(args) -> int:
 
 def _cmd_explore(args) -> int:
     _require(args, "d", "r", "seed")
-    sizes = _sizes(args)
-    p = _resolve_probability(args)
-    g = get_torus(args.d, sizes[0], args.model, 1 if args.L is None else args.L)
+    r, = _values(args, "r", count=1)
+    _check_probability_flags(args)
+    p, _ = _est._resolve_p(args.p, args.d, args.model, args.L)
+    g = get_torus(args.d, r, args.model, 1 if args.L is None else args.L)
     cfg = sample_config(g, p, args.seed).instrumented()
     root = args.root if args.root is not None else g.origin
     if not 0 <= root < g.num_vertices:
@@ -214,11 +211,11 @@ def _cmd_explore(args) -> int:
 
 def _cmd_couple(args) -> int:
     _require(args, "d", "r", "seed")
-    sizes = _sizes(args)
-    p = _resolve_probability(args)
-    lo, hi = (int(t) for t in args.k_grid.split(":"))
-    sample = _coupling.coupled_sample(args.d, sizes[0], p, args.seed,
-                                      window_factor=args.K)
+    r, = _values(args, "r", count=1)
+    _check_probability_flags(args)
+    p, _ = _est._resolve_p(args.p, args.d, NEAREST_NEIGHBOR, None)
+    lo, hi = _values(args, "k_grid", sep=":", count=2)
+    sample = _coupling.coupled_sample(args.d, r, p, args.seed, window_factor=args.K)
     inclusion = _coupling.check_inclusion_property(sample, range(lo, hi + 1))
     payload = sample.to_json()
     payload["inclusion_applicable"] = inclusion.applicable
@@ -226,10 +223,6 @@ def _cmd_couple(args) -> int:
                                        for k, v in inclusion.violations.items()}
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return 0
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t]
 
 
 def _cmd_estimate(args) -> int:
@@ -242,25 +235,25 @@ def _cmd_estimate(args) -> int:
     if q == "ball-boundary":
         if not args.n_list:
             raise UsageError("ball-boundary needs --n-list")
-        ns = [int(t) for t in args.n_list.split(",")]
-        report = _est.est_ball_boundary_sum(args.d, ns, **common)
+        report = _est.est_ball_boundary_sum(args.d, _values(args, "n_list"), **common)
     else:
         _require(args, "r")
-        sizes = _sizes(args)
+        sizes = _values(args, "r", count=None if q in OVER_SIZES else 1)
         if q == "vertex-long-cycle":
             report = _est.est_vertex_long_cycle(args.d, sizes, **budgeted)
         elif q == "cycle-cut":
-            report = _est.est_cycle_cut(args.d, sizes, _parse_floats(args.delta), **budgeted)
+            report = _est.est_cycle_cut(args.d, sizes, _values(args, "delta", float),
+                                        **budgeted)
         elif q == "cluster-size":
             report = _est.est_mean_cluster_size(args.d, sizes, **common)
         elif q == "cycle-length":
             if not args.k_schedule:
                 raise UsageError("cycle-length needs --k-schedule")
-            ks = [int(t) for t in args.k_schedule.split(",")]
-            report = _est.est_cycle_length_profile(args.d, sizes[0], ks, origins=args.origins,
-                                                   **budgeted)
+            report = _est.est_cycle_length_profile(args.d, sizes[0],
+                                                   _values(args, "k_schedule"),
+                                                   origins=args.origins, **budgeted)
         elif q == "long-cycle-tail":
-            report = _est.est_long_cycle_tail(args.d, sizes[0], _parse_floats(args.eps),
+            report = _est.est_long_cycle_tail(args.d, sizes[0], _values(args, "eps", float),
                                               **budgeted)
         elif q == "two-point":
             report = _est.est_two_point(args.d, sizes[0], **common)
@@ -367,7 +360,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("a subcommand is required")
-        _apply_config_file(args, argv)
+        if getattr(args, "config", None):
+            # the file's flags go first, so explicit flags, read later, win
+            args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         _check_counts(args)
         handler = {"sample": _cmd_sample, "explore": _cmd_explore,
                    "couple": _cmd_couple, "estimate": _cmd_estimate,

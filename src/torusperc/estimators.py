@@ -10,6 +10,10 @@ A call whose first task is expensive pays for that one task in-process.
 Replicas whose cycle searches return Unknown are discarded and counted; the
 discard column makes the induced bias visible instead of hiding it.
 
+Each estimator opens its report with `_report` (argument check, p, meta),
+then appends one row per quantity and size with `EstimateReport.add` and a
+log-log slope against V = r^d with `EstimateReport.fit`.
+
 Box-based quantities (ball-boundary connections, the lattice two-point
 surrogate) never materialize their boxes: edge statuses are a pure integer
 hash of (seed, edge key), revealed on demand during the breadth-first
@@ -17,11 +21,10 @@ exploration from the origin.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,12 +70,36 @@ class SlopeFit:
 
 @dataclass
 class EstimateReport:
+    """Rows, slope fits and the meta of one estimator call.
+
+    `add` appends a row whose d, L and p come from the meta, and `fit` a
+    slope over the rows of one quantity, so an estimator passes only what
+    varies: the quantity, the size and the replica values.
+    """
+
     rows: list[Row] = field(default_factory=list)
     slopes: list[SlopeFit] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     CSV_HEADER = ("quantity,d,r,L,p,replicas,discarded,mean,stderr,"
                   "ci95_lo,ci95_hi,slope,slope_stderr")
+
+    def add(self, quantity: str, r, values, discarded: int = 0,
+            scale: float = 1.0) -> None:
+        """One row over the clean replica values at size r: its replicas
+        column is len(values), and its mean and stderr are scaled by scale."""
+        mean, stderr = _mean_stderr(values)
+        self.rows.append(Row(quantity, self.meta["d"], r, self.meta.get("L"),
+                             self.meta["p"], len(values), discarded,
+                             mean * scale, stderr * scale))
+
+    def fit(self, quantity: str) -> None:
+        """The log-log slope of quantity's rows with replicas and a positive
+        mean against V = r^d, once there are two of them."""
+        points = [(row.r ** row.d, row.mean) for row in self.rows
+                  if row.quantity == quantity and row.replicas > 0 and row.mean > 0]
+        if len(points) >= 2:
+            self.slopes.append(SlopeFit(quantity, *loglog_slope(points)))
 
     def to_csv(self, include_meta: bool = True) -> str:
         def num(x) -> str:
@@ -197,18 +224,20 @@ def _map_replicas(worker, commons: list[tuple], replicas: int, threads: int) -> 
     return [flat[k * replicas:(k + 1) * replicas] for k in range(len(commons))]
 
 
-def _check_call(replicas, **values) -> None:
-    """Refuse a call that would report no row, or rows over no replica: every
+def _report(quantity, d, model, L, p, replicas, seed, budget=None,
+            **values) -> EstimateReport:
+    """An empty report for one estimator call, with p resolved into its meta.
+
+    Refuses a call that would report no row, or rows over no replica: every
     list of sizes, k, deltas, eps values or offsets must be nonempty, and
-    replicas at least 1."""
+    replicas at least 1.
+    """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas!r}")
     for name, vals in values.items():
         if not vals:
             raise ValueError(f"need at least one {name}")
-
-
-def _base_meta(quantity, d, model, L, p, p_source, replicas, seed, budget) -> dict:
+    p, p_source = _resolve_p(p, d, model, L)
     meta = {"quantity": quantity, "d": d, "model": model, "p": p,
             "p_source": p_source, "replicas_requested": replicas, "seed": seed,
             "budget": budget}
@@ -217,11 +246,13 @@ def _base_meta(quantity, d, model, L, p, p_source, replicas, seed, budget) -> di
     if d == 7:
         meta["caveat"] = ("d=7 nearest-neighbor is a desk-scale stand-in; the "
                           "rigorous nearest-neighbor theory needs larger d")
-    return meta
+    return EstimateReport(meta=meta)
 
 
-def _row_L(model, L):
-    return None if model == NEAREST_NEIGHBOR else L
+def _sample(stream, i, torus):
+    """Replica i of one seed stream on torus = (d, r, model, L, p, seed)."""
+    d, r, model, L, p, seed = torus
+    return sample_config(get_torus(d, r, model, L), p, derive_seed(seed, stream, r, i))
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +260,8 @@ def _row_L(model, L):
 
 
 def _vlc_worker(args):
-    i, d, r, model, L, p, seed, budget = args
-    g = get_torus(d, r, model, L)
-    cfg = sample_config(g, p, derive_seed(seed, _S_VLC, r, i))
-    count, unknown = _cycles.long_cycle_vertex_count(cfg, budget)
+    i, torus, budget = args
+    count, unknown = _cycles.long_cycle_vertex_count(_sample(_S_VLC, i, torus), budget)
     return (not unknown, count)
 
 
@@ -246,32 +275,18 @@ def est_vertex_long_cycle(d, r_values, *, model=NEAREST_NEIGHBOR, L=1, p=None,
     targets V^(-2/3).
     """
     r_values = sorted(int(r) for r in r_values)
-    _check_call(replicas, size=r_values)
-    p_val, p_source = _resolve_p(p, d, model, L)
-    report = EstimateReport(meta=_base_meta("vertex-long-cycle", d, model, L,
-                                            p_val, p_source, replicas, seed, budget))
-    count_points, prob_points = [], []
+    report = _report("vertex-long-cycle", d, model, L, p, replicas, seed, budget,
+                     size=r_values)
     per_size = _map_replicas(_vlc_worker,
-                             [(d, r, model, L, p_val, seed, budget) for r in r_values],
-                             replicas, threads)
+                             [((d, r, model, L, report.meta["p"], seed), budget)
+                              for r in r_values], replicas, threads)
     for r, results in zip(r_values, per_size):
         counts = [c for ok, c in results if ok]
         discarded = replicas - len(counts)
-        V = get_torus(d, r, model, L).num_vertices
-        cmean, cstderr = _mean_stderr(counts)
-        pmean, pstderr = _mean_stderr([c / V for c in counts])
-        report.rows.append(Row("vertex-long-cycle-count", d, r, _row_L(model, L),
-                               p_val, len(counts), discarded, cmean, cstderr))
-        report.rows.append(Row("vertex-long-cycle-prob", d, r, _row_L(model, L),
-                               p_val, len(counts), discarded, pmean, pstderr))
-        if counts and cmean > 0:
-            count_points.append((V, cmean))
-            prob_points.append((V, pmean))
-    for quantity, pts in (("vertex-long-cycle-count", count_points),
-                          ("vertex-long-cycle-prob", prob_points)):
-        if len(pts) >= 2:
-            slope, stderr, r2 = loglog_slope(pts)
-            report.slopes.append(SlopeFit(quantity, slope, stderr, r2))
+        report.add("vertex-long-cycle-count", r, counts, discarded)
+        report.add("vertex-long-cycle-prob", r, [c / r ** d for c in counts], discarded)
+    report.fit("vertex-long-cycle-count")
+    report.fit("vertex-long-cycle-prob")
     return report
 
 
@@ -280,10 +295,9 @@ def est_vertex_long_cycle(d, r_values, *, model=NEAREST_NEIGHBOR, L=1, p=None,
 
 
 def _cut_worker(args):
-    i, d, r, model, L, p, seed, budget, deltas = args
-    g = get_torus(d, r, model, L)
-    cfg = sample_config(g, p, derive_seed(seed, _S_CUT, r, i))
-    V = g.num_vertices
+    i, torus, budget, deltas = args
+    cfg = _sample(_S_CUT, i, torus)
+    V = cfg.geometry.num_vertices
     return _cycles.cut_sums(cfg, [delta * V ** (2.0 / 3.0) for delta in deltas], budget)
 
 
@@ -299,31 +313,22 @@ def est_cycle_cut(d, r_values, delta_values=(0.5, 1.0, 2.0), *,
     """
     r_values = sorted(int(r) for r in r_values)
     deltas = [float(x) for x in delta_values]
-    _check_call(replicas, size=r_values, delta=deltas)
+    report = _report("cycle-cut", d, model, L, p, replicas, seed, budget,
+                     size=r_values, delta=deltas)
     if any(x <= 0 for x in deltas):
         raise ValueError("delta values must be positive")
-    p_val, p_source = _resolve_p(p, d, model, L)
-    report = EstimateReport(meta=_base_meta("cycle-cut", d, model, L, p_val,
-                                            p_source, replicas, seed, budget))
     per_size = _map_replicas(_cut_worker,
-                             [(d, r, model, L, p_val, seed, budget, tuple(deltas))
-                              for r in r_values], replicas, threads)
+                             [((d, r, model, L, report.meta["p"], seed), budget,
+                               tuple(deltas)) for r in r_values], replicas, threads)
     for r, results in zip(r_values, per_size):
         clean = [sums for sums in results if sums is not None]
         discarded = replicas - len(clean)
         for j, delta in enumerate(deltas):
             vals = [sums[j] for sums in clean]
-            mean, stderr = _mean_stderr(vals)
-            zmean, zstderr = _mean_stderr([1.0 if v == 0 else 0.0 for v in vals])
-            report.rows.append(Row(f"cycle-cut-mean[delta={delta:g}]", d, r,
-                                   _row_L(model, L), p_val, len(vals), discarded,
-                                   mean, stderr))
-            report.rows.append(Row(f"cycle-cut-scaled[delta={delta:g}]", d, r,
-                                   _row_L(model, L), p_val, len(vals), discarded,
-                                   delta * mean, delta * stderr))
-            report.rows.append(Row(f"cycle-cut-zero-prob[delta={delta:g}]", d, r,
-                                   _row_L(model, L), p_val, len(vals), discarded,
-                                   zmean, zstderr))
+            report.add(f"cycle-cut-mean[delta={delta:g}]", r, vals, discarded)
+            report.add(f"cycle-cut-scaled[delta={delta:g}]", r, vals, discarded, delta)
+            report.add(f"cycle-cut-zero-prob[delta={delta:g}]", r,
+                       [1.0 if v == 0 else 0.0 for v in vals], discarded)
     return report
 
 
@@ -332,41 +337,27 @@ def est_cycle_cut(d, r_values, delta_values=(0.5, 1.0, 2.0), *,
 
 
 def _size_worker(args):
-    i, d, r, model, L, p, seed = args
-    g = get_torus(d, r, model, L)
-    cfg = sample_config(g, p, derive_seed(seed, _S_SIZE, r, i))
+    i, torus = args
+    cfg = _sample(_S_SIZE, i, torus)
     # translation-averaged estimator of E|C(origin)|: the per-config average of
     # |C(x)| over all x is sum of |C|^2 / V, unbiased with far lower variance
     # than a single-origin draw
     cm = _cluster.component_map(cfg)
-    return float((cm.sizes.astype(np.float64) ** 2).sum() / g.num_vertices)
+    return float((cm.sizes.astype(np.float64) ** 2).sum() / cfg.geometry.num_vertices)
 
 
 def est_mean_cluster_size(d, r_values, *, model=NEAREST_NEIGHBOR, L=1, p=None,
                           replicas=300, seed=0, threads=1) -> EstimateReport:
     """Mean origin-cluster size and its V^(-1/3)-scaled version per size."""
     r_values = sorted(int(r) for r in r_values)
-    _check_call(replicas, size=r_values)
-    p_val, p_source = _resolve_p(p, d, model, L)
-    report = EstimateReport(meta=_base_meta("cluster-size", d, model, L, p_val,
-                                            p_source, replicas, seed, None))
-    points = []
+    report = _report("cluster-size", d, model, L, p, replicas, seed, size=r_values)
     per_size = _map_replicas(_size_worker,
-                             [(d, r, model, L, p_val, seed) for r in r_values],
-                             replicas, threads)
+                             [((d, r, model, L, report.meta["p"], seed),)
+                              for r in r_values], replicas, threads)
     for r, sizes in zip(r_values, per_size):
-        V = get_torus(d, r, model, L).num_vertices
-        mean, stderr = _mean_stderr(sizes)
-        scale = V ** (-1.0 / 3.0)
-        report.rows.append(Row("cluster-size-mean", d, r, _row_L(model, L),
-                               p_val, replicas, 0, mean, stderr))
-        report.rows.append(Row("cluster-size-scaled", d, r, _row_L(model, L),
-                               p_val, replicas, 0, mean * scale, stderr * scale))
-        if mean > 0:
-            points.append((V, mean))
-    if len(points) >= 2:
-        slope, stderr, r2 = loglog_slope(points)
-        report.slopes.append(SlopeFit("cluster-size-mean", slope, stderr, r2))
+        report.add("cluster-size-mean", r, sizes)
+        report.add("cluster-size-scaled", r, sizes, scale=(r ** d) ** (-1.0 / 3.0))
+    report.fit("cluster-size-mean")
     return report
 
 
@@ -375,12 +366,12 @@ def est_mean_cluster_size(d, r_values, *, model=NEAREST_NEIGHBOR, L=1, p=None,
 
 
 def _lck_worker(args):
-    i, d, r, model, L, p, seed, budget, kmax, origins = args
-    g = get_torus(d, r, model, L)
-    cfg = sample_config(g, p, derive_seed(seed, _S_LCK, r, i))
-    rng = replica_rng(seed, _S_LCK, r, i, 1)
-    picks = rng.choice(g.num_vertices, size=min(origins, g.num_vertices),
-                       replace=False)
+    i, torus, budget, kmax, origins = args
+    cfg = _sample(_S_LCK, i, torus)
+    _, r, _, _, _, seed = torus
+    V = cfg.geometry.num_vertices
+    picks = replica_rng(seed, _S_LCK, r, i, 1).choice(V, size=min(origins, V),
+                                                      replace=False)
     out = []
     for x in picks:
         ans = _cycles.shortest_long_cycle_through(cfg, int(x), kmax, budget)
@@ -400,26 +391,22 @@ def est_cycle_length_profile(d, r, k_values, *, model=NEAREST_NEIGHBOR, L=1,
     bounds predict to stay within a constant band over the middle window.
     """
     k_values = sorted(int(k) for k in k_values)
-    _check_call(replicas, k=k_values)
-    p_val, p_source = _resolve_p(p, d, model, L)
-    report = EstimateReport(meta=_base_meta("cycle-length", d, model, L, p_val,
-                                            p_source, replicas, seed, budget))
+    report = _report("cycle-length", d, model, L, p, replicas, seed, budget,
+                     k=k_values)
     results, = _map_replicas(_lck_worker,
-                             [(d, r, model, L, p_val, seed, budget, k_values[-1],
-                               origins)], replicas, threads)
-    lengths = list(itertools.chain.from_iterable(
-        vals for ok, vals in results if ok))
+                             [((d, r, model, L, report.meta["p"], seed), budget,
+                               k_values[-1], origins)], replicas, threads)
+    lengths = [v for ok, vals in results if ok for v in vals]
     discarded = replicas - sum(1 for ok, _ in results if ok)
-    V = get_torus(d, r, model, L).num_vertices
+    V = r ** d
     for k in k_values:
-        hits = [1.0 if (v is not None and v <= k) else 0.0 for v in lengths]
-        mean, stderr = _mean_stderr(hits)
-        report.rows.append(Row(f"cycle-length-prob[k={k}]", d, r,
-                               _row_L(model, L), p_val, len(hits), discarded,
-                               mean, stderr))
-        report.rows.append(Row(f"cycle-length-ratio[k={k}]", d, r,
-                               _row_L(model, L), p_val, len(hits), discarded,
-                               mean * V / k, stderr * V / k))
+        report.add(f"cycle-length-prob[k={k}]", r,
+                   [1.0 if (v is not None and v <= k) else 0.0 for v in lengths],
+                   discarded)
+        # mean * V / k: rounding V / k first would change the last bit
+        prob = report.rows[-1]
+        report.rows.append(replace(prob, quantity=f"cycle-length-ratio[k={k}]",
+                                   mean=prob.mean * V / k, stderr=prob.stderr * V / k))
     return report
 
 
@@ -428,9 +415,8 @@ def est_cycle_length_profile(d, r, k_values, *, model=NEAREST_NEIGHBOR, L=1,
 
 
 def _tail_worker(args):
-    i, d, r, model, L, p, seed, budget = args
-    g = get_torus(d, r, model, L)
-    cfg = sample_config(g, p, derive_seed(seed, _S_TAIL, r, i))
+    i, torus, budget = args
+    cfg = _sample(_S_TAIL, i, torus)
     count, unknown = _cycles.long_cycle_vertex_count(cfg, budget)
     if unknown:
         return (False, 0, 0)
@@ -448,30 +434,25 @@ def est_long_cycle_tail(d, r, eps_values, *, model=NEAREST_NEIGHBOR, L=1, p=None
     at least l/(2d) vertices on long cycles), which upper-bounds the event.
     """
     eps_values = [float(e) for e in eps_values]
-    _check_call(replicas, eps=eps_values)
+    report = _report("long-cycle-tail", d, model, L, p, replicas, seed, budget,
+                     eps=eps_values)
     if any(e <= 0 for e in eps_values):
         raise ValueError("eps values must be positive")
-    p_val, p_source = _resolve_p(p, d, model, L)
-    report = EstimateReport(meta=_base_meta("long-cycle-tail", d, model, L, p_val,
-                                            p_source, replicas, seed, budget))
-    results, = _map_replicas(_tail_worker, [(d, r, model, L, p_val, seed, budget)],
+    results, = _map_replicas(_tail_worker,
+                             [((d, r, model, L, report.meta["p"], seed), budget)],
                              replicas, threads)
     clean = [(c, w) for ok, c, w in results if ok]
     discarded = replicas - len(clean)
-    V = get_torus(d, r, model, L).num_vertices
+    V = r ** d
     for eps in eps_values:
         threshold = V ** (1.0 / 3.0) / eps
         count_threshold = V ** (1.0 / 3.0) / (2 * d * eps)
-        wit = [1.0 if w >= threshold and w > 0 else 0.0 for _, w in clean]
-        cnt = [1.0 if c >= count_threshold else 0.0 for c, _ in clean]
-        wmean, wstderr = _mean_stderr(wit)
-        cmean, cstderr = _mean_stderr(cnt)
-        report.rows.append(Row(f"long-cycle-tail-witness[eps={eps:g}]", d, r,
-                               _row_L(model, L), p_val, len(clean), discarded,
-                               wmean, wstderr))
-        report.rows.append(Row(f"long-cycle-tail-count[eps={eps:g}]", d, r,
-                               _row_L(model, L), p_val, len(clean), discarded,
-                               cmean, cstderr))
+        report.add(f"long-cycle-tail-witness[eps={eps:g}]", r,
+                   [1.0 if w >= threshold and w > 0 else 0.0 for _, w in clean],
+                   discarded)
+        report.add(f"long-cycle-tail-count[eps={eps:g}]", r,
+                   [1.0 if c >= count_threshold else 0.0 for c, _ in clean],
+                   discarded)
     return report
 
 
@@ -558,40 +539,28 @@ def est_ball_boundary_sum(d, n_values, *, p=None, model=NEAREST_NEIGHBOR, L=1,
     """
     _box_model("ball-boundary", model)
     n_values = sorted(int(n) for n in n_values)
-    _check_call(replicas, size=n_values)
+    report = _report("ball-boundary", d, model, L, p, replicas, seed, size=n_values)
     if any(n < 1 for n in n_values):
         raise ValueError("box radius must be >= 1")
-    p_val, p_source = _resolve_p(p, d, model, L)
-    report = EstimateReport(meta=_base_meta("ball-boundary", d, model, L, p_val,
-                                            p_source, replicas, seed, None))
     report.meta["note"] = "column r holds the box radius n"
-    per_size = _map_replicas(_ball_worker, [(d, n, p_val, seed) for n in n_values],
+    per_size = _map_replicas(_ball_worker,
+                             [(d, n, report.meta["p"], seed) for n in n_values],
                              replicas, threads)
     for n, counts in zip(n_values, per_size):
-        mean, stderr = _mean_stderr(counts)
-        report.rows.append(Row("ball-boundary", d, n, _row_L(model, L), p_val,
-                               replicas, 0, mean, stderr))
+        report.add("ball-boundary", n, counts)
     return report
 
 
 def _twopt_worker(args):
-    i, d, r, model, L, p, seed, offsets = args
-    g = get_torus(d, r, model, L)
-    cfg = sample_config(g, p, derive_seed(seed, _S_TWOPT, r, i))
-    cl = _cluster.component_of(cfg, g.origin)
-    members = set(int(v) for v in cl.vertices)
-    torus_hits = []
-    for m in offsets:
-        coords = [0] * d
-        coords[0] = m
-        torus_hits.append(1.0 if int(g.vertex_index(coords)) in members else 0.0)
-    box = _HashedBox(d, 2 * r, p, derive_seed(seed, _S_TWOPT, r, i, 1))
-    reached = box.explore()
-    lattice_hits = []
-    for m in offsets:
-        target = tuple([m] + [0] * (d - 1))
-        lattice_hits.append(1.0 if target in reached else 0.0)
-    return torus_hits, lattice_hits
+    i, torus, offsets = args
+    cfg = _sample(_S_TWOPT, i, torus)
+    g = cfg.geometry
+    d, r, _, _, p, seed = torus
+    members = set(int(v) for v in _cluster.component_of(cfg, g.origin).vertices)
+    reached = _HashedBox(d, 2 * r, p, derive_seed(seed, _S_TWOPT, r, i, 1)).explore()
+    return ([1.0 if int(g.vertex_index([m] + [0] * (d - 1))) in members else 0.0
+             for m in offsets],
+            [1.0 if (m,) + (0,) * (d - 1) in reached else 0.0 for m in offsets])
 
 
 def est_two_point(d, r, *, model=NEAREST_NEIGHBOR, L=1, p=None, replicas=300,
@@ -607,27 +576,16 @@ def est_two_point(d, r, *, model=NEAREST_NEIGHBOR, L=1, p=None, replicas=300,
     if max_offset is None:
         max_offset = r // 2
     offsets = list(range(1, max_offset + 1))
-    _check_call(replicas, offset=offsets)
-    p_val, p_source = _resolve_p(p, d, model, L)
-    report = EstimateReport(meta=_base_meta("two-point", d, model, L, p_val,
-                                            p_source, replicas, seed, None))
+    report = _report("two-point", d, model, L, p, replicas, seed, offset=offsets)
     results, = _map_replicas(_twopt_worker,
-                             [(d, r, model, L, p_val, seed, tuple(offsets))],
+                             [((d, r, model, L, report.meta["p"], seed), tuple(offsets))],
                              replicas, threads)
-    V = get_torus(d, r, model, L).num_vertices
-    scale = V ** (2.0 / 3.0)
+    scale = (r ** d) ** (2.0 / 3.0)
     for j, m in enumerate(offsets):
         tvals = [t[j] for t, _ in results]
         zvals = [z[j] for _, z in results]
-        tmean, tstderr = _mean_stderr(tvals)
-        zmean, zstderr = _mean_stderr(zvals)
-        gaps = [tv - zv for tv, zv in zip(tvals, zvals)]
-        gmean, gstderr = _mean_stderr(gaps)
-        report.rows.append(Row(f"two-point-torus[m={m}]", d, r, _row_L(model, L),
-                               p_val, replicas, 0, tmean, tstderr))
-        report.rows.append(Row(f"two-point-lattice[m={m}]", d, r, _row_L(model, L),
-                               p_val, replicas, 0, zmean, zstderr))
-        report.rows.append(Row(f"two-point-gap-scaled[m={m}]", d, r,
-                               _row_L(model, L), p_val, replicas, 0,
-                               gmean * scale, gstderr * scale))
+        report.add(f"two-point-torus[m={m}]", r, tvals)
+        report.add(f"two-point-lattice[m={m}]", r, zvals)
+        report.add(f"two-point-gap-scaled[m={m}]", r,
+                   [tv - zv for tv, zv in zip(tvals, zvals)], scale=scale)
     return report

@@ -1,8 +1,9 @@
 """Module boundaries, checked on the source: only `cycles` knows the
 long-cycle threshold, its private names stay inside it, its per-edge-step
 kernels never go through coordinates, its long-cycle searches run block by
-block, the hashed box traverses through the shared BFS, and one dispatch
-loop alone starts process pools."""
+block, the hashed box traverses through the shared BFS, one dispatch
+loop alone starts process pools, and every estimator builds its report
+through one skeleton."""
 import ast
 from pathlib import Path
 
@@ -140,3 +141,31 @@ def test_only_map_replicas_starts_a_pool():
     starters = {(path.name, caller) for path in PACKAGE.glob("*.py")
                 for caller in _callers(_tree(path.name), "ProcessPoolExecutor")}
     assert starters == {("estimators.py", "_map_replicas")}
+
+
+def test_estimators_build_reports_through_one_skeleton():
+    # `_report` alone resolves p in the estimators, `EstimateReport.fit`
+    # alone fits slopes, and no estimator body takes a mean or builds a row
+    tree = _tree("estimators.py")
+    assert _callers(tree, "_resolve_p") == {"_report"}
+    fitters = {(path.name, caller) for path in PACKAGE.glob("*.py")
+               for caller in _callers(_tree(path.name), "loglog_slope")}
+    assert fitters == {("estimators.py", "fit")}
+    (report,) = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) and node.name == "EstimateReport"]
+    assert "fit" in {node.name for node in report.body if isinstance(node, ast.FunctionDef)}
+    bodies = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("est_")]
+    assert len(bodies) == 7
+    for body in bodies:
+        calls = {_called(c) for c in ast.walk(body) if isinstance(c, ast.Call)}
+        assert {"_report", "add"} <= calls, body.name
+        assert not calls & {"_mean_stderr", "loglog_slope", "Row"}, body.name
+
+
+def test_replaced_helpers_stay_deleted():
+    for path in PACKAGE.glob("*.py"):
+        names = set(_identifiers(_tree(path.name)))
+        assert not names & {"_check_call", "_base_meta", "_row_L",
+                            "_resolve_probability", "_CONFIG_CASTS",
+                            "_apply_config_file", "_sizes", "_parse_floats"}, path.name

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from torusperc import bands
 from torusperc.cli import _band_check, main
 from torusperc.estimators import EstimateReport, Row
@@ -74,6 +76,51 @@ class TestUsage:
             assert err.startswith("ERROR[usage]:") and "--threads" in err
 
 
+SAMPLE = ["--d", "2", "--r", "5", "--p", "0.3", "--seed", "1"]
+ESTIMATE = ["--d", "2", "--p", "0.3", "--seed", "1", "--replicas", "2"]
+TWO_SIZES = ["--d", "2", "--r", "5,9", "--p", "0.3", "--seed", "1"]
+
+USAGE_ERRORS = {
+    # flags the subcommand does not read
+    "couple-model": ["couple"] + SAMPLE + ["--model", "spread-out", "--L", "1"],
+    "couple-budget": ["couple"] + SAMPLE + ["--budget", "10"],
+    "sample-threads": ["sample"] + SAMPLE + ["--threads", "2"],
+    "sample-budget": ["sample"] + SAMPLE + ["--budget", "10"],
+    "sample-format": ["sample"] + SAMPLE + ["--format", "jsonl"],
+    "explore-threads": ["explore"] + SAMPLE + ["--threads", "2"],
+    "explore-no-header-meta": ["explore"] + SAMPLE + ["--no-header-meta"],
+    # malformed lists
+    "r": ["estimate", "cluster-size", "--r", "4,q"] + ESTIMATE,
+    "n-list": ["estimate", "ball-boundary", "--n-list", "2,x"] + ESTIMATE,
+    "k-schedule": ["estimate", "cycle-length", "--r", "8", "--k-schedule", "2,y"] + ESTIMATE,
+    "delta": ["estimate", "cycle-cut", "--r", "5", "--delta", "0.5,z"] + ESTIMATE,
+    "eps": ["estimate", "long-cycle-tail", "--r", "8", "--eps", "1,w"] + ESTIMATE,
+    "delta-empty": ["estimate", "cycle-cut", "--r", "5", "--delta", ","] + ESTIMATE,
+    "k-grid-one-end": ["couple"] + SAMPLE + ["--k-grid", "3"],
+    "k-grid-bad-end": ["couple"] + SAMPLE + ["--k-grid", "0:x"],
+    # more than one size for a single-size command
+    "two-point-sizes": ["estimate", "two-point", "--r", "5,9"] + ESTIMATE,
+    "cycle-length-sizes": ["estimate", "cycle-length", "--r", "8,9",
+                           "--k-schedule", "2"] + ESTIMATE,
+    "long-cycle-tail-sizes": ["estimate", "long-cycle-tail", "--r", "8,9"] + ESTIMATE,
+    "sample-sizes": ["sample"] + TWO_SIZES,
+    "explore-sizes": ["explore"] + TWO_SIZES,
+    "couple-sizes": ["couple"] + TWO_SIZES,
+}
+
+
+class TestFlags:
+    """Each subcommand accepts only the flags it reads, and every list flag
+    goes through one parser: a malformed list, or more than one size for a
+    single-size command, is a usage error that writes no output."""
+
+    @pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+    def test_usage_error_exits_1(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR[usage]:")
+
+
 class TestSubcommands:
     def test_sample_p0(self, capsys):
         code, out, _ = run_cli(["sample", "--d", "2", "--r", "3", "--p", "0",
@@ -137,6 +184,36 @@ class TestSubcommands:
         assert code == 0
         line = [l for l in out.splitlines() if l.startswith("cluster-size-mean")][0]
         assert line.split(",")[5] == "7"     # flag beat the config file
+
+    def test_abbreviated_flag_beats_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d=2\nr=4\np=0.45\nreplicas=5\nseed=9\nno-header-meta=yes\n")
+        code, out, _ = run_cli(["estimate", "cluster-size", "--config", str(cfg),
+                                "--rep", "7"], capsys)
+        assert code == 0 and not out.startswith("#")
+        line = [l for l in out.splitlines() if l.startswith("cluster-size-mean")][0]
+        assert line.split(",")[5] == "7"
+
+    @pytest.mark.parametrize("text", [
+        "d=2\nr=4\np=0.45\nseed=9\nreplicas=x\n",     # bad value
+        "d=2\nr=4\np=0.45\nseed=9\nrep=5\n",          # abbreviations are no keys
+        "d=2\nr=4\np=0.45\nseed=9\nbogus=1\n",        # unknown key
+        "d=2\nr=4\np=0.45\nseed=9\nmodel=other\n",    # not among the choices
+        "d=2\nr=4\np=0.45\nseed=9\nreplicas\n",       # no key=value line
+    ])
+    def test_bad_config_file_exits_1(self, text, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(["estimate", "cluster-size", "--config", str(cfg)],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR[usage]:")
+
+    def test_config_key_of_another_subcommand_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=2\n")
+        code, _, err = run_cli(["sample", "--config", str(cfg)] + SAMPLE, capsys)
+        assert code == 1 and "unknown config key" in err
 
     def test_check_failure_exits_3(self, capsys):
         # d=2 at this probability has slope far outside the 1/3 band

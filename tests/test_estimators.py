@@ -159,6 +159,34 @@ class TestReports:
         for line in lines:
             json.loads(line)
 
+    def test_all_discarded_sizes_keep_nan_rows_and_fit_no_slope(self):
+        rep = est.est_vertex_long_cycle(2, [5, 8], p=0.5, replicas=3, seed=1,
+                                        budget=0)
+        assert [(row.replicas, row.discarded) for row in rep.rows] == [(0, 3)] * 4
+        assert all(math.isnan(row.mean) and math.isnan(row.stderr) for row in rep.rows)
+        assert rep.slopes == [] and ":slope" not in rep.to_csv()
+
+    def test_add_takes_d_L_p_from_the_meta(self):
+        rep = est.EstimateReport(meta={"d": 2, "p": 0.25, "L": 3})
+        rep.add("q", 5, [1, 3], discarded=1, scale=10.0)
+        assert rep.rows == [est.Row("q", 2, 5, 3, 0.25, 2, 1, 20.0, 10.0)]
+        rep = est.EstimateReport(meta={"d": 2, "p": 0.25})
+        rep.add("q", 5, [])
+        assert rep.rows[0].L is None and rep.rows[0].replicas == 0
+
+    def test_fit_skips_empty_and_zero_rows(self):
+        rep = est.EstimateReport(meta={"d": 2, "p": 0.5})
+        rep.add("q", 4, [0, 0])          # all counts 0: no slope point
+        rep.add("q", 5, [1, 3])
+        rep.add("q", 6, [])              # every replica discarded: no point
+        rep.fit("q")
+        assert rep.slopes == []          # one point is no slope
+        rep.add("q", 8, [2, 6])
+        rep.add("other", 9, [100])
+        rep.fit("q")
+        (fit,) = rep.slopes
+        assert (fit.slope, fit.stderr, fit.r2) == est.loglog_slope([(25, 2.0), (64, 4.0)])
+
     def test_discard_accounting_columns(self):
         rep = est.est_vertex_long_cycle(2, [5], p=0.45, replicas=10, seed=1,
                                         budget=0)
