@@ -23,8 +23,11 @@ from .percolation import _pc_table, sample_config
 
 QUANTITIES = ("vertex-long-cycle", "cycle-cut", "cluster-size", "cycle-length",
               "long-cycle-tail", "two-point", "ball-boundary")
-#: The quantities estimated over a list of sizes; the others take one --r.
+#: The quantities estimated over a list of sizes; the others take one --r,
+#: except ball-boundary, which takes box radii (--n-list) and no --r.
 OVER_SIZES = ("vertex-long-cycle", "cycle-cut", "cluster-size")
+#: The quantities whose searches take a --budget.
+BUDGETED = ("vertex-long-cycle", "cycle-cut", "cycle-length", "long-cycle-tail")
 
 
 class UsageError(Exception):
@@ -36,16 +39,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _NoSides(argparse.Action):
+    """--r on a command that takes no torus side: refused by name, since
+    argparse would otherwise read it as an abbreviation of --replicas."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{parser.prog} takes box radii (--n-list), not {option_string}")
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="torusperc", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", metavar="command")
 
-    def common(sp, *, model=True, budget=False):
+    def common(sp, *, model=True, budget=False, sizes=True):
         sp.add_argument("--config", help="key=value file; flags override it")
         sp.add_argument("--d", type=int, help="dimension")
-        sp.add_argument("--r", help="torus side, or comma list of sides for an "
-                                    "estimate over sizes")
+        if sizes:
+            sp.add_argument("--r", help="torus side, or comma list of sides for an "
+                                        "estimate over sizes")
+        else:
+            sp.add_argument("--r", action=_NoSides, default=argparse.SUPPRESS,
+                            help=argparse.SUPPRESS)
         if model:
             sp.add_argument("--model", choices=[NEAREST_NEIGHBOR, SPREAD_OUT],
                             default=NEAREST_NEIGHBOR, help="edge model (default nn)")
@@ -74,23 +89,29 @@ def _build_parser() -> _Parser:
                     help="inclusive range lo:hi for the inclusion check")
 
     sp = sub.add_parser("estimate", help="run a Monte Carlo estimator")
-    sp.add_argument("quantity", choices=QUANTITIES)
-    common(sp, budget=True)
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker processes at most; an estimate cheaper "
-                         "than a process-pool start runs in-process")
-    sp.add_argument("--format", choices=["csv", "jsonl"], default=None)
-    sp.add_argument("--no-header-meta", action="store_true",
-                    help="suppress the metadata comment lines")
-    sp.add_argument("--replicas", type=int, default=300)
-    sp.add_argument("--delta", default="0.5,1,2", help="comma list of deltas")
-    sp.add_argument("--k-schedule", default=None, help="comma list of k values")
-    sp.add_argument("--eps", default="0.5,1,2", help="comma list of eps values")
-    sp.add_argument("--n-list", default=None, help="comma list of box radii")
-    sp.add_argument("--origins", type=int, default=4,
-                    help="sampled origins per replica (cycle-length)")
-    sp.add_argument("--check", action="store_true",
-                    help="apply the built-in acceptance band for the quantity")
+    quantities = sp.add_subparsers(dest="quantity", metavar="quantity", required=True)
+    for q in QUANTITIES:
+        qp = quantities.add_parser(q, help=f"estimate {q}")
+        common(qp, budget=q in BUDGETED, sizes=q != "ball-boundary")
+        qp.add_argument("--threads", type=int, default=1,
+                        help="worker processes at most; an estimate cheaper "
+                             "than a process-pool start runs in-process")
+        qp.add_argument("--format", choices=["csv", "jsonl"], default=None)
+        qp.add_argument("--no-header-meta", action="store_true",
+                        help="suppress the metadata comment lines")
+        qp.add_argument("--replicas", type=int, default=300)
+        qp.add_argument("--check", action="store_true",
+                        help="apply the built-in acceptance band for the quantity")
+        if q == "cycle-cut":
+            qp.add_argument("--delta", default="0.5,1,2", help="comma list of deltas")
+        elif q == "cycle-length":
+            qp.add_argument("--k-schedule", default=None, help="comma list of k values")
+            qp.add_argument("--origins", type=int, default=4,
+                            help="sampled origins per replica")
+        elif q == "long-cycle-tail":
+            qp.add_argument("--eps", default="0.5,1,2", help="comma list of eps values")
+        elif q == "ball-boundary":
+            qp.add_argument("--n-list", default=None, help="comma list of box radii")
 
     sp = sub.add_parser("oracle", help="run the oracle fixture self-checks")
     sp.add_argument("--out", default=None)
@@ -228,35 +249,35 @@ def _cmd_couple(args) -> int:
 def _cmd_estimate(args) -> int:
     _require(args, "d", "seed")
     _check_probability_flags(args)
-    common = {"model": args.model, "L": 1 if args.L is None else args.L, "p": args.p,
-              "replicas": args.replicas, "seed": args.seed, "threads": args.threads}
-    budgeted = dict(common, budget=args.budget)
+    kw = {"model": args.model, "L": 1 if args.L is None else args.L, "p": args.p,
+          "replicas": args.replicas, "seed": args.seed, "threads": args.threads}
     q = args.quantity
+    if q in BUDGETED:
+        kw["budget"] = args.budget
     if q == "ball-boundary":
         if not args.n_list:
             raise UsageError("ball-boundary needs --n-list")
-        report = _est.est_ball_boundary_sum(args.d, _values(args, "n_list"), **common)
+        report = _est.est_ball_boundary_sum(args.d, _values(args, "n_list"), **kw)
     else:
         _require(args, "r")
         sizes = _values(args, "r", count=None if q in OVER_SIZES else 1)
         if q == "vertex-long-cycle":
-            report = _est.est_vertex_long_cycle(args.d, sizes, **budgeted)
+            report = _est.est_vertex_long_cycle(args.d, sizes, **kw)
         elif q == "cycle-cut":
-            report = _est.est_cycle_cut(args.d, sizes, _values(args, "delta", float),
-                                        **budgeted)
+            report = _est.est_cycle_cut(args.d, sizes, _values(args, "delta", float), **kw)
         elif q == "cluster-size":
-            report = _est.est_mean_cluster_size(args.d, sizes, **common)
+            report = _est.est_mean_cluster_size(args.d, sizes, **kw)
         elif q == "cycle-length":
             if not args.k_schedule:
                 raise UsageError("cycle-length needs --k-schedule")
             report = _est.est_cycle_length_profile(args.d, sizes[0],
                                                    _values(args, "k_schedule"),
-                                                   origins=args.origins, **budgeted)
+                                                   origins=args.origins, **kw)
         elif q == "long-cycle-tail":
             report = _est.est_long_cycle_tail(args.d, sizes[0], _values(args, "eps", float),
-                                              **budgeted)
+                                              **kw)
         elif q == "two-point":
-            report = _est.est_two_point(args.d, sizes[0], **common)
+            report = _est.est_two_point(args.d, sizes[0], **kw)
         else:  # pragma: no cover - argparse restricts choices
             raise UsageError(f"unknown quantity {q!r}")
     fmt = args.format or "csv"
@@ -361,8 +382,10 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             raise UsageError("a subcommand is required")
         if getattr(args, "config", None):
-            # the file's flags go first, so explicit flags, read later, win
-            args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
+            # the file's flags go first, after the subcommand words, so
+            # explicit flags, read later, win
+            words = 2 if args.command == "estimate" else 1
+            args = parser.parse_args(argv[:words] + _config_tokens(args) + argv[words:])
         _check_counts(args)
         handler = {"sample": _cmd_sample, "explore": _cmd_explore,
                    "couple": _cmd_couple, "estimate": _cmd_estimate,

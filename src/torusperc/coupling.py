@@ -7,7 +7,8 @@ member of its wrap-equivalence class is declared ghost.  One cached map sends
 each window edge to its torus EdgeId, so a class is just the preimage of one
 torus edge: the exploration skips edges whose torus edge was already
 consumed, each torus edge status is consumed at most once, and the ghosts
-are read off the consumed torus edges once the exploration stops.
+are read off the consumed torus edges once the exploration stops, in one
+array pass that keeps them as one sorted array of window edge ids.
 Unexplored window edges (ghosts included) are filled from an independent
 lattice sample, so both marginals remain product Bernoulli(p) while the two
 intrinsic balls around the origin are coupled.
@@ -41,7 +42,7 @@ class CouplingSample:
     lattice_open: np.ndarray            # bool per window edge id
     explored_open: frozenset[int]       # window edge ids, status copied from torus
     explored_closed: frozenset[int]
-    ghost_edges: frozenset[int]
+    ghost_edges: np.ndarray             # sorted int64 window edge ids
     torus_reads: tuple[int, ...]        # torus edge ids in consumption order
     truncated: bool
     steps: int
@@ -56,7 +57,7 @@ class CouplingSample:
                 "steps": self.steps,
                 "explored_open": sorted(self.explored_open),
                 "explored_closed": sorted(self.explored_closed),
-                "ghost_edges": sorted(self.ghost_edges),
+                "ghost_edges": self.ghost_edges.tolist(),
                 "torus_reads": list(self.torus_reads)}
 
 
@@ -130,13 +131,14 @@ def coupled_sample(d: int, r: int, p: float, seed: int, window_factor: int = 4,
         raise AssertionError("a torus edge was consumed twice")
 
     # ghosts: the other window members of every read wrap-equivalence class
-    ghosts = set(np.flatnonzero(consumed[torus_of]).tolist()) - explored_open - explored_closed
+    explored = np.fromiter((*explored_open, *explored_closed), dtype=np.int64)
+    ghosts = np.setdiff1d(np.flatnonzero(consumed[torus_of]), explored, assume_unique=True)
     lattice_open = free_cfg.open_mask().copy()
     lattice_open[sorted(explored_open)] = True
     lattice_open[sorted(explored_closed)] = False
     return CouplingSample(torus_cfg, window, lattice_open,
                           frozenset(explored_open), frozenset(explored_closed),
-                          frozenset(ghosts), tuple(torus_reads), truncated,
+                          ghosts, tuple(torus_reads), truncated,
                           steps, window_factor)
 
 

@@ -6,11 +6,13 @@ figure-eight walks count).  A cycle is long when every one of its vertices has
 another cycle vertex at torus sup-distance at least floor(r/4).
 
 A cycle uses no bridge and is connected, so it lies inside one
-2-edge-connected block of its cluster.  Every search runs on one block.  The
-blocks of one subgraph come from the chord cycles of one BFS spanning forest
-(`_blocks`).  The vertex count splits every cluster of a configuration at
-once.  A cycle uses no vertex of degree one, so it first peels the open edges
-down to their 2-core (`_two_core`), and reads no component map; then
+2-edge-connected block of its cluster.  Every search runs on one block.  An
+`OpenSubgraph` keeps one BFS spanning forest until an edge is added; the
+blocks of the subgraph come from its chord cycles (`_blocks`), and the paths
+of the surgery's decisions from its tree paths (`forest_path`).  The vertex
+count splits every cluster of a configuration at once.  A cycle uses no
+vertex of degree one, so it first peels the open edges down to their 2-core
+(`_two_core`), and reads no component map; then
 `_edge_blocks` gives the core's blocks and components, the same split in a
 few numpy/scipy passes over an edge list, and `_group_reach` the reach of
 every block in one array pass.  Those passes cost a fixed millisecond or so
@@ -37,7 +39,9 @@ certificates.
 
 This module is the only one that branches on that threshold.  The surgery
 asks `edge_closes_long_cycle` for each stage-2 decision, passing the one
-`OpenSubgraph` it grows in place with `OpenSubgraph.add`, and the cut
+`OpenSubgraph` it grows in place with `OpenSubgraph.add`, so one forest
+serves every decision until the next open edge joins (at threshold 1, none
+does: one forest per exploration, not one BFS per decision), and the cut
 estimators ask `cut_sums` for per-threshold cut sums; both pick the exact
 shortcut or the budgeted search themselves.
 """
@@ -216,7 +220,12 @@ def winding_vector(g: TorusGeometry, cycle) -> np.ndarray:
 
 
 class OpenSubgraph:
-    """An explicit open edge set with its induced adjacency, for searches."""
+    """An explicit open edge set with its induced adjacency, for searches.
+
+    It keeps one BFS spanning forest, built on first use and dropped by
+    `add`: `_blocks` reads its chord cycles, `forest_path` its paths and
+    `component_count` its roots.
+    """
 
     def __init__(self, geometry, edge_ids):
         self.geometry = geometry
@@ -227,6 +236,7 @@ class OpenSubgraph:
             adj.setdefault(v, []).append((e, u))
         self.adj = adj
         self.vertices = sorted(adj)
+        self._forest = None
 
     @property
     def num_edges(self) -> int:
@@ -242,19 +252,56 @@ class OpenSubgraph:
                 self.adj[a] = []
                 insort(self.vertices, a)
             insort(self.adj[a], (e, b))
+        self._forest = None
 
     def without(self, removed) -> "OpenSubgraph":
         removed = {int(e) for e in removed}
         return OpenSubgraph(self.geometry, [e for e in self.edge_ids if e not in removed])
 
+    def spanning_forest(self):
+        """(depth, parent) of a BFS spanning forest, one tree per component
+        rooted at its smallest vertex; parent[v] is (parent vertex, edge), and
+        (None, None) at a root."""
+        if self._forest is None:
+            depth: dict[int, int] = {}
+            parent: dict[int, tuple[int | None, int | None]] = {}
+            for s in self.vertices:
+                if s not in depth:
+                    dist, tree = bfs(s, self.adj.__getitem__)
+                    depth.update(dist)
+                    parent.update(tree)
+            self._forest = depth, parent
+        return self._forest
+
     def component_count(self) -> int:
-        seen: set[int] = set()
-        n = 0
-        for s in self.vertices:
-            if s not in seen:
-                n += 1
-                seen.update(bfs(s, self.adj.__getitem__)[0])
-        return n
+        return sum(1 for depth in self.spanning_forest()[0].values() if not depth)
+
+    def forest_path(self, a: int, b: int) -> list[int] | None:
+        """The spanning forest's vertex path a..b, or None across components.
+
+        Both ends climb to their meet.  In a forest this is the only path;
+        otherwise a path joins a and b exactly when this one does.
+        """
+        a, b = int(a), int(b)
+        if a == b:
+            return [a]
+        depth, parent = self.spanning_forest()
+        if a not in depth or b not in depth:
+            return None
+        up, down = [a], [b]
+        while depth[a] > depth[b]:
+            a = parent[a][0]
+            up.append(a)
+        while depth[b] > depth[a]:
+            b = parent[b][0]
+            down.append(b)
+        while a != b:
+            if not depth[a]:                # two roots: two components
+                return None
+            a, b = parent[a][0], parent[b][0]
+            up.append(a)
+            down.append(b)
+        return up + down[-2::-1]
 
     def path_between(self, a: int, b: int, forbidden=()) -> list[int] | None:
         """Shortest vertex path a..b over edges not in `forbidden`, or None."""
@@ -278,7 +325,7 @@ def _blocks(sub: OpenSubgraph) -> list[tuple[set[int], list[int]]]:
     """Each 2-edge-connected block with an edge, as (vertex set, sorted edges),
     in the order of their smallest edges.
 
-    The chord cycles of one BFS spanning forest span the cycle space, so an
+    The chord cycles of `sub`'s spanning forest span the cycle space, so an
     edge lies on a cycle exactly when it is a chord or lies on a chord's
     forest path, and the blocks are the chord cycles merged where they share
     a vertex.  Each chord lifts the deeper of its two ends into its parent
@@ -287,13 +334,7 @@ def _blocks(sub: OpenSubgraph) -> list[tuple[set[int], list[int]]]:
     edge-self-avoiding closed walk uses no bridge and is connected, so every
     cycle lies inside one block, and every block vertex lies on some cycle.
     """
-    depth: dict[int, int] = {}
-    parent: dict[int, tuple[int | None, int | None]] = {}
-    for s in sub.vertices:
-        if s not in depth:
-            dist, tree = bfs(s, sub.adj.__getitem__)
-            depth.update(dist)
-            parent.update(tree)
+    depth, parent = sub.spanning_forest()
     up: dict[int, int] = {}         # lifted vertex -> a higher vertex of its set
 
     def top(v: int) -> int:
@@ -929,16 +970,18 @@ def edge_closes_long_cycle(graph: OpenSubgraph, e: int,
 
     Every such cycle traverses e, so there is none unless a path of the graph
     joins e's endpoints, and it lies in the block of the graph plus e that
-    holds e.  When every cycle is long the graph is a forest, so that path
-    closed by e is the certificate, built only with `witness`.  Otherwise only
-    that block is searched, and a Yes always carries its witness.  The graph
-    itself is left unchanged.
+    holds e.  The path comes from the graph's cached spanning forest, so a
+    graph that grows only by `add` is swept once per added edge, not once per
+    decision.  When every cycle is long the graph is a forest, so that path
+    closed by e is the only cycle and the certificate, built only with
+    `witness`.  Otherwise only that block is searched, and a Yes always
+    carries its witness.  The graph itself is left unchanged.
     """
     g = graph.geometry
     b = WorkBudget(budget)
     u, v = g.edge_endpoints(e)
     try:
-        path = graph.path_between(u, v)
+        path = graph.forest_path(u, v)
         if path is None:
             return BudgetedAnswer(NO, work=b.spent, budget=budget)
         if _all_cycles_long(g):

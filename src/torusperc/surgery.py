@@ -11,9 +11,12 @@ estimators build on.
 
 The graph grown in stage 2 is one `cycles.OpenSubgraph` of the stage-1 tree,
 grown in place as probed edges come out open, and each decision is one
-`cycles.edge_closes_long_cycle` call on it.
+`cycles.edge_closes_long_cycle` call on it.  The graph keeps one spanning
+forest until its next open edge joins, and every decision in between reads
+its paths from that forest: one forest per graph, not one BFS per decision.
 Only `cycles` knows the long-cycle threshold: when every cycle is long, every
-surplus edge closes a tree cycle and so comes out special.
+surplus edge closes a tree cycle and so comes out special, no edge joins,
+and one exploration sweeps its tree once.
 """
 from __future__ import annotations
 

@@ -1,7 +1,8 @@
 """Module boundaries, checked on the source: only `cycles` knows the
 long-cycle threshold, its private names stay inside it, its per-edge-step
 kernels never go through coordinates, its long-cycle searches run block by
-block, the hashed box traverses through the shared BFS, one dispatch
+block, a subgraph's blocks and the surgery's paths read its one spanning
+forest, the hashed box traverses through the shared BFS, one dispatch
 loop alone starts process pools, and every estimator builds its report
 through one skeleton."""
 import ast
@@ -115,6 +116,18 @@ def test_blocks_alone_compute_bridges():
         "_block_cut", "vertex_in_long_cycle", "long_cycle_vertex_count"}
     assert _callers(tree, "_closed_walks") == WALK_SEARCHES
     assert _callers(tree, "_min_long_cycle_through") == {"shortest_long_cycle_through"}
+
+
+def test_blocks_and_decisions_read_the_one_spanning_forest():
+    # a subgraph keeps one BFS spanning forest: `_blocks` reads its chords,
+    # and the surgery's decisions its paths, neither with a BFS of its own
+    tree = _tree("cycles.py")
+    searches = _callers(tree, "bfs")
+    assert "spanning_forest" in searches
+    assert not searches & {"_blocks", "edge_closes_long_cycle", "forest_path"}
+    assert {"_blocks", "forest_path", "component_count"} <= _callers(tree, "spanning_forest")
+    assert "edge_closes_long_cycle" in _callers(tree, "forest_path")
+    assert "edge_closes_long_cycle" not in _callers(tree, "path_between")
 
 
 def test_count_reads_the_two_core_without_a_component_map():

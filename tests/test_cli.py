@@ -89,6 +89,15 @@ USAGE_ERRORS = {
     "sample-format": ["sample"] + SAMPLE + ["--format", "jsonl"],
     "explore-threads": ["explore"] + SAMPLE + ["--threads", "2"],
     "explore-no-header-meta": ["explore"] + SAMPLE + ["--no-header-meta"],
+    # flags of another estimate quantity
+    "cluster-size-foreign-flags": ["estimate", "cluster-size", "--r", "4", "--eps", "0.1",
+                                   "--k-schedule", "3", "--n-list", "9",
+                                   "--origins", "7"] + ESTIMATE,
+    "cluster-size-budget": ["estimate", "cluster-size", "--r", "4", "--budget", "10"] + ESTIMATE,
+    "two-point-delta": ["estimate", "two-point", "--r", "5", "--delta", "1"] + ESTIMATE,
+    "ball-boundary-r": ["estimate", "ball-boundary", "--r", "4,q", "--n-list", "2"] + ESTIMATE,
+    # not an abbreviation of --replicas
+    "ball-boundary-one-r": ["estimate", "ball-boundary", "--r", "4", "--n-list", "2"] + ESTIMATE,
     # malformed lists
     "r": ["estimate", "cluster-size", "--r", "4,q"] + ESTIMATE,
     "n-list": ["estimate", "ball-boundary", "--n-list", "2,x"] + ESTIMATE,
@@ -119,6 +128,31 @@ class TestFlags:
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == ""
         assert err.startswith("ERROR[usage]:")
+
+
+class TestEstimateQuantities:
+    @pytest.mark.parametrize("args, column, values", [
+        (["cycle-cut", "--r", "5"], "quantity",
+         {f"cycle-cut-zero-prob[delta={x}]" for x in ("0.5", "1", "2")}),
+        (["long-cycle-tail", "--r", "5"], "quantity",
+         {f"long-cycle-tail-count[eps={x}]" for x in ("0.5", "1", "2")}),
+        (["cycle-length", "--r", "5", "--k-schedule", "3"], "replicas", {8}),
+    ])
+    def test_defaulted_flags_apply_unpassed(self, args, column, values, capsys):
+        # --delta, --eps and --origins keep their defaults (0.5,1,2 and 4
+        # origins per replica) when they are not passed
+        code, out, _ = run_cli(["estimate"] + args + ESTIMATE + ["--format", "jsonl"],
+                               capsys)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert values <= {row[column] for row in rows if "quantity" in row}
+
+    def test_config_key_of_another_quantity_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps=0.5\n")
+        code, _, err = run_cli(["estimate", "cluster-size", "--config", str(cfg),
+                                "--r", "4"] + ESTIMATE, capsys)
+        assert code == 1 and "unknown config key" in err
 
 
 class TestSubcommands:

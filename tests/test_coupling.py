@@ -77,8 +77,11 @@ class TestSampler:
                 base, rank = w.edge_base_rank(f)
                 classes[rank, tuple(w.vertex_coords(base) % r)].add(f)
             read = [c for c in classes.values() if c & s.explored]
-            assert s.ghost_edges.isdisjoint(s.explored)
-            assert s.explored | s.ghost_edges == set().union(*read)
+            ghosts = s.ghost_edges.tolist()
+            assert s.ghost_edges.dtype == np.int64
+            assert all(a < b for a, b in zip(ghosts, ghosts[1:]))     # sorted, no repeats
+            assert s.explored.isdisjoint(ghosts)
+            assert s.explored | set(ghosts) == set().union(*read)
             assert all(len(c & s.explored) == 1 for c in read)
             assert len(read) == len(s.torus_reads)
 

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusperc import estimators as est
@@ -419,6 +419,99 @@ class TestOpenSubgraphAdd:
         assert grown.vertices == fresh.vertices
         assert grown.adj.keys() == fresh.adj.keys()
         assert all(grown.adj[v] == fresh.adj[v] for v in fresh.vertices)
+
+
+@st.composite
+def forests(draw):
+    """A d=2 or d=3 torus with a random forest on it: a random share of its
+    edges, taken in a random order, each kept unless it closes a cycle."""
+    d = draw(st.sampled_from([2, 3]))
+    g = get_torus(d, draw(st.sampled_from([5, 8] if d == 2 else [3, 4])))
+    rnd = draw(st.randoms(use_true_random=False))
+    share = draw(st.floats(0.1, 0.6))
+    top = list(range(g.num_vertices))
+
+    def find(v):
+        while top[v] != v:
+            top[v] = top[top[v]]
+            v = top[v]
+        return v
+
+    edges = []
+    for e in rnd.sample(range(g.num_edges), int(share * g.num_edges)):
+        u, v = (find(w) for w in g.edge_endpoints(e))
+        if u != v:
+            top[u] = v
+            edges.append(e)
+    return g, edges, rnd
+
+
+def _vertex_pairs(sub, rnd, count=40):
+    """Random vertex pairs of `sub`, a few with one end off the graph."""
+    ids = sub.vertices + [v for v in range(sub.geometry.num_vertices) if v not in sub.adj][:3]
+    return [(rnd.choice(ids), rnd.choice(ids)) for _ in range(count)]
+
+
+def _is_path(sub, path, a, b):
+    """`path` runs from a to b over edges of `sub` and repeats no vertex."""
+    steps = {(u, w) for u in sub.adj for _, w in sub.adj[u]}
+    return (path[0] == a and path[-1] == b and len(set(path)) == len(path)
+            and all((u, w) in steps for u, w in zip(path, path[1:])))
+
+
+class TestForestPath:
+    @given(forests())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_bfs_path_on_forests(self, case):
+        # a forest has one path between two of its vertices, so the climb to
+        # the meet finds the path the BFS finds, and None across components
+        g, edges, rnd = case
+        sub = OpenSubgraph(g, edges)
+        labels = {}
+        for v in sub.vertices:
+            labels.setdefault(v, len(labels))
+            for w in bfs(v, sub.adj.__getitem__)[0]:
+                labels.setdefault(w, labels[v])
+        for a, b in _vertex_pairs(sub, rnd):
+            path = sub.forest_path(a, b)
+            assert path == sub.path_between(a, b)
+            if a != b and (labels.get(a) is None or labels.get(a) != labels.get(b)):
+                assert path is None
+
+    @pytest.mark.parametrize("kind", ["chord", "leaf", "join"])
+    @given(case=forests())
+    @settings(max_examples=30, deadline=None)
+    def test_follows_added_edges(self, kind, case):
+        # `add` drops the forest: after a chord the graph holds a cycle, and
+        # the path must be a path of the grown graph, the one a fresh build
+        # gives; after a new leaf or an edge joining two trees it is a forest
+        # again, and the path is the BFS path
+        g, edges, rnd = case
+        sub = OpenSubgraph(g, edges)
+        tree_of = {v: min(bfs(v, sub.adj.__getitem__)[0]) for v in sub.vertices}
+
+        def kind_of(e):
+            u, v = g.edge_endpoints(e)
+            if u in tree_of and v in tree_of:
+                return "chord" if tree_of[u] == tree_of[v] else "join"
+            return "leaf" if u in tree_of or v in tree_of else None
+
+        for a, b in _vertex_pairs(sub, rnd, 10):
+            sub.forest_path(a, b)           # build the forest before the add
+        taken = set(edges)
+        pick = [e for e in range(g.num_edges) if e not in taken and kind_of(e) == kind]
+        assume(pick)
+        e = rnd.choice(pick)
+        sub.add(e)
+        fresh = OpenSubgraph(g, edges + [e])
+        for a, b in _vertex_pairs(sub, rnd) + [g.edge_endpoints(e)]:
+            path = sub.forest_path(a, b)
+            assert path == fresh.forest_path(a, b)
+            if kind == "chord":
+                assert (path is None) == (sub.path_between(a, b) is None)
+                assert path is None or _is_path(sub, path, a, b)
+            else:
+                assert path == sub.path_between(a, b)
 
 
 class TestWrappingDetection:

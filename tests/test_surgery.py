@@ -304,6 +304,30 @@ class TestDecisionRegimes:
             assert res.valid and len(res.special_edges) > 10
             assert len(built) == 1
 
+    @pytest.mark.parametrize("d,r,p", [(2, 5, 0.5), (3, 5, 0.4)])
+    def test_one_forest_bfs_per_exploration_at_threshold_one(self, monkeypatch, d, r, p):
+        # at floor(r/4) <= 1 no decision adds an edge, so every decision reads
+        # the one spanning forest of the stage-1 tree: one BFS per exploration
+        g = get_torus(d, r)
+        searches = []
+        bfs = cycles.bfs
+
+        def counting_bfs(*args, **kwargs):
+            searches.append(1)
+            return bfs(*args, **kwargs)
+
+        monkeypatch.setattr(cycles, "bfs", counting_bfs)
+        decided = 0
+        for i in range(6):
+            cfg = sample_config(g, p, derive_seed(463, d, r, i))
+            root = _largest_cluster_root(cfg)
+            searches.clear()
+            res = surgery.explore_cluster(cfg.instrumented(), root)
+            assert res.valid and res.probed_edges == []
+            assert len(searches) == min(1, len(res.special_edges))
+            decided += len(res.special_edges)
+        assert decided > 20
+
     @pytest.mark.parametrize("d,r,p", [(3, 5, 0.3), (2, 8, 0.5)])
     def test_certificates_off_changes_no_decision(self, d, r, p):
         g = get_torus(d, r)
